@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._engine import block_spans, cot_block, map_blocks, merge_partials
+from ._engine import block_spans, cot_block, map_blocks, merge_partials, neumaier, orbit, orbit_err
 from .errors import PrecisionExhausted
 from .fibcore import zeckendorf
 from .goldenangle import GoldenCtx
@@ -72,27 +72,15 @@ def sum_series(n: int, t_max: int, theta, ctx: GoldenCtx) -> SumSeries:
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     pw = ctx.omega_pow_float(n)
-    one = 1 << ctx.P
-    mask = one - 1
-    w = ctx.omega.mantissa
-    p2 = 2.0 ** (-ctx.P)
     pi_pw = math.pi * pw
-    sin = math.sin
-    a = _theta_mantissa(theta, ctx) % one
-    total = 0.0
-    comp = 0.0
-    values = []
-    for _ in range(t_max):
-        a = (a + w) & mask
-        term = sin(pi_pw * (a * p2 - 0.5))
-        t2 = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t2) + term
-        else:
-            comp += (term - t2) + total
-        total = t2
-        values.append(total + comp)
-    err = t_max * (4.0 * _EPS * pw + (t_max + 2) * p2 * pi_pw)
+    s = comp = 0.0
+    values: list[float] = []
+    for _lo, x, neg in orbit(_theta_mantissa(theta, ctx), ctx.omega.mantissa, ctx.P, t_max):
+        run_s, run_c = neumaier(np.sin(pi_pw * np.where(neg, 0.5 - x, x - 0.5)), s, comp)
+        s, comp = run_s[-1], run_c[-1]
+        values += (run_s + run_c).tolist()
+    ang_err = (t_max + 2) * 2.0 ** (-ctx.P) + orbit_err(ctx.P)
+    err = t_max * (4.0 * _EPS * pw + ang_err * pi_pw)
     return SumSeries(n=n, theta=float(theta), values=tuple(values), err=err)
 
 
@@ -113,30 +101,6 @@ def S_nt(n: int, t: int, theta, ctx: GoldenCtx, check_split: bool = False) -> fl
                 f"direct/split disagreement {abs(split - value):.3e} at n={n}, t={t}"
             )
     return value
-
-
-def _segment_sum(n: int, count: int, theta_m: int, ctx: GoldenCtx) -> float:
-    """S_{n, count}(theta) for theta given as a mantissa, fresh summation."""
-    pw = ctx.omega_pow_float(n)
-    one = 1 << ctx.P
-    mask = one - 1
-    w = ctx.omega.mantissa
-    p2 = 2.0 ** (-ctx.P)
-    pi_pw = math.pi * pw
-    sin = math.sin
-    a = theta_m % one
-    total = 0.0
-    comp = 0.0
-    for _ in range(count):
-        a = (a + w) & mask
-        term = sin(pi_pw * (a * p2 - 0.5))
-        t2 = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t2) + term
-        else:
-            comp += (term - t2) + total
-        total = t2
-    return total + comp
 
 
 def S_nt_split(n: int, t: int, ctx: GoldenCtx, memo: dict | None = None) -> float:
@@ -161,7 +125,7 @@ def S_nt_split(n: int, t: int, ctx: GoldenCtx, memo: dict | None = None) -> floa
         if memo is not None and key in memo:
             seg = memo[key]
         else:
-            seg = _segment_sum(n, fs, (tail * w) % one, ctx)
+            seg = sum_series(n, fs, Fraction((tail * w) % one, one), ctx).values[-1]
             if memo is not None:
                 memo[key] = seg
         parts.append(seg)
@@ -307,9 +271,9 @@ def cot_profile(n: int, ctx: GoldenCtx) -> Iterator[tuple[int, float]]:
     done: list[float] = []
     for start, cnt in block_spans(count):
         s, c, _e, _m, snaps = cot_block(
-            (start * w) % one, w, P, cnt, ang_err, emit_at=range(1, cnt + 1)
+            (start * w) % one, w, P, cnt, ang_err, emit_at=np.arange(1, cnt + 1)
         )
-        for i, s_at, c_at in snaps:
+        for i, s_at, c_at in zip(*(col.tolist() for col in snaps)):
             yield (start + i, sign * math.fsum(done + [s_at, c_at]))
         done.append(s)
         done.append(c)

@@ -10,6 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
+from ._engine import neumaier, orbit
 from .errors import PrecisionExhausted
 from .fibcore import zeckendorf
 from .goldenangle import GoldenCtx
@@ -208,42 +211,19 @@ def _log_factored_perturbed(
     alpha = alpha_m * 2.0 ** (-ctx.P)
     ca = math.cos(math.pi * alpha)
     sa = math.sin(math.pi * alpha)
-    P = ctx.P
-    one = 1 << P
-    mask = one - 1
-    w = ctx.omega.mantissa
-    p2 = 2.0 ** (-P)
-    log = math.log
-    cos = math.cos
-    sin = math.sin
-    pi = math.pi
-    a = 0
-    total = 0.0
-    comp = 0.0
-    err = 0.0
-    for _ in range(fn):
-        a = (a + w) & mask
-        if a <= one >> 1:
-            u = a
-            sgn = 1.0
-        else:
-            u = one - a
-            sgn = -1.0
-        x = float(u) * p2
-        arg = pi * x
-        cot = sgn * cos(arg) / sin(arg)
+    total = comp = err = 0.0
+    for _lo, x, neg in orbit(0, ctx.omega.mantissa, ctx.P, fn):
+        arg = np.pi * x
+        cot = np.cos(arg) / np.sin(arg)
+        cot = np.where(neg, -cot, cot)
         factor = ca + cot * sa
-        if factor <= 0.0:
+        if factor.min() <= 0.0:
             raise ArithmeticError("factored perturbation term is nonpositive")
-        term = log(factor)
-        err += 2.0**-53 * (6.0 + abs(term) + abs(cot * sa) / factor)
-        t2 = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t2) + term
-        else:
-            comp += (term - t2) + total
-        total = t2
-    return base + total + comp, base_err + err
+        term = np.log(factor)
+        err += 2.0**-53 * (6.0 * len(x) + np.abs(term).sum() + (np.abs(cot * sa) / factor).sum())
+        run_s, run_c = neumaier(term, total, comp)
+        total, comp = run_s[-1], run_c[-1]
+    return float(base + total + comp), base_err + float(err)
 
 
 def n1_alpha_counterexample(ctx: GoldenCtx) -> float:

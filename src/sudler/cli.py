@@ -41,10 +41,6 @@ class RunConfig:
     """Resolved run parameters shared by every subcommand."""
 
     precision_bits: int = DEFAULT_PRECISION_BITS
-    n: int | None = None
-    k: int | None = None
-    theta: str | None = None
-    alpha: str | None = None
     output: str = "-"
     workers: int = 1
     seed: int = 0

@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._engine import BLOCK, block_spans, log2sin_block, map_blocks, merge_partials
+from ._engine import block_spans, log2sin_block, map_blocks, merge_partials, neumaier, orbit
 from .errors import PrecisionExhausted
 from .goldenangle import GoldenCtx, gen_prod
 
@@ -43,6 +43,7 @@ __all__ = [
     "B_star",
     "C_n",
     "C_infinity_trunc",
+    "log_U_partials",
     "u_t",
     "decompose",
     "ratio_PFn_minus1",
@@ -280,6 +281,19 @@ def u_t(t: int, ctx: GoldenCtx) -> float:
     return 2.0 * math.sqrt(5.0) * t - 2.0 * (frac - 0.5)
 
 
+def log_U_partials(T: int, ctx: GoldenCtx) -> Iterator[np.ndarray]:
+    """The compensated partial sums log U(t), t = 1..T, one orbit chunk at
+    a time."""
+    two_sqrt5 = 2.0 * math.sqrt(5.0)
+    s = comp = 0.0
+    for lo, x, neg in orbit(0, ctx.omega.mantissa, ctx.P, T):
+        t = np.arange(lo + 1, lo + len(x) + 1, dtype=np.float64)
+        u = two_sqrt5 * t - 2.0 * np.where(neg, 0.5 - x, x - 0.5)
+        run_s, run_c = neumaier(np.log1p(-1.0 / (u * u)), s, comp)
+        s, comp = run_s[-1], run_c[-1]
+        yield run_s + run_c
+
+
 def C_infinity_trunc(T: int, ctx: GoldenCtx) -> float:
     """Truncated limit product U(T) = prod_{t=1}^{T} (1 - 1/u_t^2).
 
@@ -288,47 +302,9 @@ def C_infinity_trunc(T: int, ctx: GoldenCtx) -> float:
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    two_sqrt5 = 2.0 * math.sqrt(5.0)
-    P = ctx.P
-    one = 1 << P
-    mask = one - 1
-    w = ctx.omega.mantissa
-    p2 = 2.0 ** (-P)
-    log1p = math.log1p
-    a = 0
-    total = 0.0
-    comp = 0.0
-    for t in range(1, T + 1):
-        a = (a + w) & mask
-        u = two_sqrt5 * t - 2.0 * (a * p2 - 0.5)
-        term = log1p(-1.0 / (u * u))
-        t2 = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t2) + term
-        else:
-            comp += (term - t2) + total
-        total = t2
-    return math.exp(total + comp)
-
-
-def c_infinity_profile(T: int, ctx: GoldenCtx, stride: int = 1) -> list[tuple[int, float]]:
-    """Sampled partial products of C_infinity_trunc at t = stride, 2*stride, ..., T."""
-    two_sqrt5 = 2.0 * math.sqrt(5.0)
-    P = ctx.P
-    one = 1 << P
-    mask = one - 1
-    w = ctx.omega.mantissa
-    p2 = 2.0 ** (-P)
-    a = 0
-    total = 0.0
-    out = []
-    for t in range(1, T + 1):
-        a = (a + w) & mask
-        u = two_sqrt5 * t - 2.0 * (a * p2 - 0.5)
-        total += math.log1p(-1.0 / (u * u))
-        if t % stride == 0 or t == T:
-            out.append((t, math.exp(total)))
-    return out
+    for partials in log_U_partials(T, ctx):
+        pass
+    return math.exp(partials[-1])
 
 
 def decompose(n: int, ctx: GoldenCtx, workers: int = 1) -> Decomposition:
@@ -366,7 +342,7 @@ def _log_prefix_iter(
 
     def job(start: int, cnt: int):
         first = (-start) % stride + 1
-        emit = range(first, cnt + 1, stride)
+        emit = np.arange(first, cnt + 1, stride)
         a0 = (start * w) % one
         ang_err = (start + cnt + 1) * 2.0 ** (-P)
         return log2sin_block(a0, w, P, cnt, ang_err, emit_at=emit)
@@ -384,7 +360,7 @@ def _log_prefix_iter(
                 raise PrecisionExhausted(
                     f"prefix-pass error bound {err_total:.3e} exceeds budget at k~{start}"
                 )
-            for i, s_at, c_at in snaps:
+            for i, s_at, c_at in zip(*(col.tolist() for col in snaps)):
                 yield (start + i, math.fsum(done + [s_at, c_at]))
             done.append(s)
             done.append(c)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from . import birkhoff as bk
 from . import bounds as bd
 from . import fibcore as fc
@@ -279,8 +281,9 @@ def check_c_limit(cfg: _Cfg) -> CheckResult:
     ctx = cfg.ctx
     T = _q(cfg, 10**5, 10**6)
     n_c = _q(cfg, 16, 20)
-    partials = pr.c_infinity_profile(min(T, 20000), ctx, stride=97)
-    vals = [v for _t, v in partials]
+    t_max = min(T, 20000)
+    logs = np.concatenate(list(pr.log_U_partials(t_max, ctx)))
+    vals = np.exp(np.append(logs[96 : t_max - 1 : 97], logs[-1])).tolist()
     monotone = all(b < a for a, b in zip(vals, vals[1:]))
     u_full = pr.C_infinity_trunc(T, ctx)
     bounded = all(0.862 < v < 1.0 for v in vals) and 0.862 < u_full < 1.0
