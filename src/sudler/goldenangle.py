@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
+import numpy as np
+
+from ._engine import neumaier
 from .errors import PrecisionExhausted, PrecisionTooLow
 from .fibcore import FibTable
 
@@ -351,16 +354,11 @@ def gen_sum(series: Callable[[int], float], lower: Real, upper: Real) -> float:
     if parts is None:
         return 0.0
     boundaries, full_start, full_end = parts
-    total = 0.0
-    comp = 0.0
-    for r in range(full_start, full_end + 1):
-        term = series(r)
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
+    rs = range(full_start, full_end + 1)
+    total = comp = 0.0
+    if rs:
+        run_s, run_c = neumaier(np.fromiter(map(series, rs), np.float64, len(rs)), 0.0, 0.0)
+        total, comp = float(run_s[-1]), float(run_c[-1])
     for r, w in boundaries:
         total += w * series(r)
     return total + comp
@@ -371,27 +369,11 @@ def gen_prod(series: Callable[[int], float], lower: Real, upper: Real) -> float:
     fractional upper bound raises the boundary term to the fractional
     power.  An empty range gives 1; nonpositive terms raise ValueError.
     """
-    parts = _gen_parts(lower, upper)
-    if parts is None:
-        return 1.0
-    boundaries, full_start, full_end = parts
-    log = math.log
-    total = 0.0
-    comp = 0.0
-    for r in range(full_start, full_end + 1):
+
+    def log_term(r: int) -> float:
         a = series(r)
         if a <= 0.0:
             raise ValueError(f"gen_prod requires positive terms; series({r}) = {a}")
-        term = log(a)
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-    for r, w in boundaries:
-        a = series(r)
-        if a <= 0.0:
-            raise ValueError(f"gen_prod requires positive terms; series({r}) = {a}")
-        total += w * log(a)
-    return math.exp(total + comp)
+        return math.log(a)
+
+    return math.exp(gen_sum(log_term, lower, upper))

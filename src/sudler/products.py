@@ -16,20 +16,24 @@ F_n is odd) and the limiting square-correction product
 Everything works in the log domain with compensated accumulation; direct
 values are materialized only at the output boundary.  Each product carries
 a rigorous bound on |log error|, enforced against ERR_BUDGET.
+
+P_k and U(T) run on the orbit kernel of ``_engine``.  B_n and C_n run as
+numpy array expressions over chunks of at most CHUNK terms, fed by the
+exact residues t F_{n-1} mod F_n, and sum through the same Neumaier
+primitive ``_engine.neumaier``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from ._engine import block_spans, log2sin_block, map_blocks, merge_partials, neumaier, orbit
+from ._engine import CHUNK, block_spans, log2sin_block, map_blocks, merge_partials, neumaier, orbit
 from .errors import PrecisionExhausted
-from .goldenangle import GoldenCtx, gen_prod
+from .goldenangle import GoldenCtx
 
 __all__ = [
     "ProductResult",
@@ -55,6 +59,8 @@ __all__ = [
 ERR_BUDGET = 1e-9
 
 _EPS = 2.0**-53
+
+_STEPS = np.arange(1, CHUNK + 1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,18 @@ def A_n(n: int, ctx: GoldenCtx) -> float:
     return 2.0 * ctx.fibs.fib(n) * math.sin(math.pi * ctx.omega_pow_float(n))
 
 
+def _residue_chunks(start: int, count: int, fn1: int, fn: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (t, t F_{n-1} mod F_n) as int64 arrays for t = start+1..start+count,
+    at most CHUNK at a time.
+
+    Each chunk anchors exactly at (lo F_{n-1}) mod F_n in Python ints and adds
+    i F_{n-1}, i <= CHUNK, in int64, so no product exceeds (CHUNK + 1) F_n.
+    """
+    for lo in range(start, start + count, CHUNK):
+        i = _STEPS[: min(CHUNK, start + count - lo)]
+        yield lo + i, ((lo * fn1) % fn + i * fn1) % fn
+
+
 def _log_perturbation_product(
     n: int, ctx: GoldenCtx, include_quadratic: bool, workers: int
 ) -> tuple[float, float]:
@@ -175,47 +193,28 @@ def _log_perturbation_product(
     if count <= 0:
         return 0.0, 0.0
     pw = ctx.omega_pow_float(n)
-    pi = math.pi
-    sin = math.sin
-    cos = math.cos
-    log1p = math.log1p
     inv_fn = 1.0 / fn
 
     def block(t0: int, cnt: int) -> tuple[float, float, float]:
-        res = (t0 * fn1) % fn
-        s_acc = 0.0
-        comp = 0.0
-        err = 0.0
-        for t in range(t0 + 1, t0 + cnt + 1):
-            res += fn1
-            if res >= fn:
-                res -= fn
+        s = comp = err = 0.0
+        for t, res in _residue_chunks(t0, cnt, fn1, fn):
             xi = res * inv_fn - 0.5
             hz = 1.5707963267948966 * (pw * xi)  # pi z / 2
-            s2 = sin(hz)
-            c2 = cos(hz)
+            s2 = np.sin(hz)
+            c2 = np.cos(hz)
             alpha = 2.0 * s2 * s2 if include_quadratic else 0.0
-            # folded cot(pi t / F_n)
-            tt = t
-            sgn = 1.0
-            if 2 * tt > fn:
-                tt = fn - tt
-                sgn = -1.0
-            u = pi * (tt * inv_fn)
-            h = sgn * (cos(u) / sin(u)) * (2.0 * s2 * c2)
+            # folded cot(pi t / F_n), negated past the midpoint
+            back = 2 * t > fn
+            u = np.pi * (np.where(back, fn - t, t) * inv_fn)
+            h = np.where(back, -1.0, 1.0) * (np.cos(u) / np.sin(u)) * (2.0 * s2 * c2)
             w_ = -alpha - h
-            term = log1p(w_)
-            err += _EPS * (8.0 * (alpha + abs(h)) / (1.0 + w_) + 2.0 * abs(term) + 3.0)
-            t2 = s_acc + term
-            if abs(s_acc) >= abs(term):
-                comp += (s_acc - t2) + term
-            else:
-                comp += (term - t2) + s_acc
-            s_acc = t2
-        return s_acc, comp, err
+            term = np.log1p(w_)
+            err += _EPS * (8.0 * (alpha + np.abs(h)) / (1.0 + w_) + 2.0 * np.abs(term) + 3.0).sum()
+            run_s, run_c = neumaier(term, s, comp)
+            s, comp = run_s[-1], run_c[-1]
+        return float(s), float(comp), float(err)
 
-    jobs = list(block_spans(count))
-    results = map_blocks(block, jobs, workers)
+    results = map_blocks(block, block_spans(count), workers)
     log_value = merge_partials([(s, c) for s, c, _e in results])
     err = math.fsum(e for _s, _c, e in results)
     if err > ERR_BUDGET:
@@ -258,19 +257,22 @@ def C_n(n: int, ctx: GoldenCtx) -> float:
     s0 = 2.0 * math.sin(math.pi * pw * 0.5)
     half_fn = 0.5 * fn
     inv_fn = 1.0 / fn
-    pi = math.pi
-    sin = math.sin
 
-    def term(t: int) -> float:
-        res = (t * fn1) % fn
-        arg = (t - pw * (res - half_fn)) * inv_fn
-        st = 2.0 * sin(pi * arg)
-        ratio = s0 / st
-        return 1.0 - ratio * ratio
+    def terms(t: np.ndarray, res: np.ndarray) -> np.ndarray:
+        ratio = s0 / (2.0 * np.sin(np.pi * ((t - pw * (res - half_fn)) * inv_fn)))
+        a = 1.0 - ratio * ratio
+        bad = np.flatnonzero(a <= 0.0)
+        if len(bad):
+            raise ValueError(f"C_n requires positive terms; term({t[bad[0]]}) = {a[bad[0]]}")
+        return a
 
-    value = gen_prod(term, 1, (fn - 1) // 2)
-    if fn >= 2 and fn % 2 == 0:
-        value *= math.sqrt(term(fn // 2))
+    s = comp = 0.0
+    for t, res in _residue_chunks(0, (fn - 1) // 2, fn1, fn):
+        run_s, run_c = neumaier(np.log(terms(t, res)), s, comp)
+        s, comp = run_s[-1], run_c[-1]
+    value = math.exp(s + comp)
+    if fn % 2 == 0:  # the self-paired midpoint t = F_n/2, exponent 1/2
+        value *= math.sqrt(terms(*next(_residue_chunks(fn // 2 - 1, 1, fn1, fn)))[0])
     return value
 
 

@@ -226,6 +226,21 @@ class TestGenSumProd:
         with pytest.raises(ValueError):
             gen_prod(lambda r: -1.0, 1, 3)
 
+    def test_prod_names_first_nonpositive_term(self):
+        with pytest.raises(ValueError, match=r"series\(3\) = 0\.0"):
+            gen_prod(lambda r: 1.0 if r < 3 else 0.0, 1, 5)
+        with pytest.raises(ValueError, match=r"series\(4\)"):
+            gen_prod(lambda r: 1.0 if r < 4 else -1.0, 1, Fraction(7, 2))
+
+    def test_sum_matches_scalar_neumaier(self):
+        vals = [(-1.0) ** r * 10.0 ** (r % 17 - 8) for r in range(1, 20001)]
+        total = comp = 0.0
+        for v in vals:
+            t = total + v
+            comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+            total = t
+        assert gen_sum(lambda r: vals[r - 1], 1, len(vals)) == total + comp
+
     @given(st.integers(min_value=0, max_value=30), st.integers(min_value=-5, max_value=5))
     @settings(max_examples=100, deadline=None)
     def test_integer_bounds_property(self, length, lo):

@@ -1,6 +1,7 @@
 """Sudler products, the renormalisation subsequence, and the decomposition."""
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -20,10 +21,61 @@ from sudler import (
     sudler_P,
     sudler_P_rational,
 )
-from sudler.products import u_t
+from sudler._engine import CHUNK
+from sudler.goldenangle import gen_prod
+from sudler.products import _log_perturbation_product, _residue_chunks, u_t
 
 mpmath.mp.dps = 60
 MP_OMEGA = (mpmath.sqrt(5) - 1) / 2
+EPS = 2.0**-53
+
+
+def scalar_log_perturbation(n, ctx, include_quadratic):
+    """Oracle: the per-term scalar loop over t = 1..F_n - 1 with a Neumaier
+    sum and an exactly summed error charge, for the vectorised B_n block."""
+    fn = ctx.fibs.fib(n)
+    fn1 = ctx.fibs.fib(n - 1)
+    pw = ctx.omega_pow_float(n)
+    inv_fn = 1.0 / fn
+    s_acc = comp = 0.0
+    errs = []
+    for t in range(1, fn):
+        xi = (t * fn1) % fn * inv_fn - 0.5
+        hz = 1.5707963267948966 * (pw * xi)
+        s2 = math.sin(hz)
+        c2 = math.cos(hz)
+        alpha = 2.0 * s2 * s2 if include_quadratic else 0.0
+        tt, sgn = (fn - t, -1.0) if 2 * t > fn else (t, 1.0)
+        u = math.pi * (tt * inv_fn)
+        h = sgn * (math.cos(u) / math.sin(u)) * (2.0 * s2 * c2)
+        w_ = -alpha - h
+        term = math.log1p(w_)
+        errs.append(EPS * (8.0 * (alpha + abs(h)) / (1.0 + w_) + 2.0 * abs(term) + 3.0))
+        t2 = s_acc + term
+        if abs(s_acc) >= abs(term):
+            comp += (s_acc - t2) + term
+        else:
+            comp += (term - t2) + s_acc
+        s_acc = t2
+    return s_acc + comp, math.fsum(errs)
+
+
+def scalar_c_n(n, ctx):
+    """Oracle: C_n as gen_prod over the scalar per-t term."""
+    fn = ctx.fibs.fib(n)
+    fn1 = ctx.fibs.fib(n - 1)
+    pw = ctx.omega_pow_float(n)
+    s0 = 2.0 * math.sin(math.pi * pw * 0.5)
+
+    def term(t):
+        arg = (t - pw * ((t * fn1) % fn - 0.5 * fn)) * (1.0 / fn)
+        ratio = s0 / (2.0 * math.sin(math.pi * arg))
+        return 1.0 - ratio * ratio
+
+    value = gen_prod(term, 1, (fn - 1) // 2)
+    if fn % 2 == 0:
+        value *= math.sqrt(term(fn // 2))
+    return value
 
 
 def test_empty_product(ctx):
@@ -145,6 +197,42 @@ class TestDecomposition:
                 math.log(1.0 - (s0 / s_nt(n, t, ctx)) ** 2) for t in range(1, fn)
             )
             assert abs(2.0 * math.log(C_n(n, ctx)) - full) < 1e-11
+
+
+class TestVectorisedFactors:
+    """F_25 - 1 = 75024 terms cross both a CHUNK and a BLOCK boundary."""
+
+    @pytest.mark.parametrize("include_quadratic", [True, False])
+    def test_b_block_matches_scalar_loop(self, ctx, include_quadratic):
+        want_log, want_err = scalar_log_perturbation(25, ctx, include_quadratic)
+        got_log, got_err = _log_perturbation_product(25, ctx, include_quadratic, 1)
+        assert abs(got_log - want_log) < 1e-14
+        assert abs(got_err - want_err) <= 1e-12 * want_err
+
+    def test_b_workers_bitwise(self, ctx):
+        assert B_n(25, ctx, workers=1) == B_n(25, ctx, workers=2)
+        assert B_star(25, ctx, workers=1) == B_star(25, ctx, workers=2)
+
+    @pytest.mark.parametrize("n", [24, 25])  # even and odd F_n
+    def test_c_matches_scalar_gen_prod_bitwise(self, ctx, n):
+        assert C_n(n, ctx) == scalar_c_n(n, ctx)
+
+    def test_c_rejects_nonpositive_terms(self, ctx):
+        # omega^n replaced by 0.9 makes s_n0 exceed s_n1, so 1 - (s_n0/s_n1)^2 < 0
+        bent = SimpleNamespace(fibs=ctx.fibs, omega_pow_float=lambda n: 0.9)
+        with pytest.raises(ValueError, match="positive terms"):
+            C_n(10, bent)
+
+    def test_residues_exact_past_int64_products(self, ctx):
+        fn, fn1 = ctx.fibs.fib(60), ctx.fibs.fib(59)
+        assert (fn - 1) * fn1 > 2**63  # a bare int64 t * F_59 overflows here
+        start, count = fn - CHUNK - 3, CHUNK + 2
+        chunks = list(_residue_chunks(start, count, fn1, fn))
+        assert [len(t) for t, _res in chunks] == [CHUNK, 2]
+        t = [int(v) for chunk, _res in chunks for v in chunk]
+        res = [int(v) for _t, chunk in chunks for v in chunk]
+        assert t == list(range(start + 1, start + count + 1))
+        assert res == [v * fn1 % fn for v in t]
 
 
 class TestCLimit:
