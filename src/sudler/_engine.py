@@ -12,6 +12,11 @@ the limbs before it is rounded to float64, as
 x = u2 2^-48 + (u1 2^-96 + u0 2^-144), so x keeps full *relative*
 precision even at the closest approaches to 0.
 
+``orbit`` and ``log2sin_block`` also take a sequence of anchors that share
+one term count: each anchor is a row, rows are cut into slabs of at most
+CHUNK angles, and every row comes out bit-identical to its own call, so
+many short sums (the Zeckendorf segments) share one call's fixed cost.
+
 Sums use Neumaier compensation in prefix-sum form (``neumaier``): one
 cumulative sum for the running values, the exact TwoSum error of each
 step, and a second cumulative sum for the compensation.  Both sums run
@@ -48,8 +53,8 @@ _TOP = 3 * _LIMB
 _HALF_LIMB = 1 << (_LIMB - 1)  # 1/2 in the top limb
 # Limb rows are (low, mid, high).  2^144 - r, limb by limb, is
 # (2^48 - r0, M - r1, M - r2) with M = 2^48 - 1: no borrows to propagate.
-_COMPLEMENT = np.array([[1 << _LIMB], [_LIMB_MASK], [_LIMB_MASK]], dtype=np.uint64)
-_SCALE = np.array([[2.0**-_TOP], [2.0 ** (-2 * _LIMB)], [2.0**-_LIMB]])
+_COMPLEMENT = np.array([1 << _LIMB, _LIMB_MASK, _LIMB_MASK], dtype=np.uint64)[:, None, None]
+_SCALE = np.array([2.0**-_TOP, 2.0 ** (-2 * _LIMB), 2.0**-_LIMB])[:, None, None]
 # Rounding u1 2^-96 + u0 2^-144 (at most 2^-48) costs at most 2^-101
 # absolute on top of the relative rounding of x itself.
 _CONVERT_ERR = 2.0**-101
@@ -67,14 +72,15 @@ def orbit_err(P: int) -> float:
     return _CONVERT_ERR + _dropped_err(P)
 
 
-def _top_limbs(v: int, P: int) -> np.ndarray:
-    """The top 144 bits of the P-bit integer v as a (3, 1) column of limbs."""
-    t = v << (_TOP - P) if P <= _TOP else v >> (P - _TOP)
-    limbs = (t & _LIMB_MASK, (t >> _LIMB) & _LIMB_MASK, t >> (2 * _LIMB))
-    return np.array(limbs, dtype=np.uint64)[:, None]
+def _top_limbs(vs: Sequence[int], P: int) -> np.ndarray:
+    """The top 144 bits of each P-bit integer in vs as a (3, len(vs), 1)
+    column of limbs."""
+    ts = [v << (_TOP - P) if P <= _TOP else v >> (P - _TOP) for v in vs]
+    limbs = [[(t >> shift) & _LIMB_MASK for t in ts] for shift in (0, _LIMB, 2 * _LIMB)]
+    return np.array(limbs, dtype=np.uint64)[:, :, None]
 
 
-def orbit(a0: int, w: int, P: int, count: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def orbit(a0, w: int, P: int, count: int) -> Iterator[tuple]:
     """Yield (lo, x, neg) chunk by chunk for the orbit a_i = (a0 + i*w)/2^P
     mod 1, i = 1..count; a chunk covers i = lo+1..lo+len(x).
 
@@ -82,16 +88,27 @@ def orbit(a0: int, w: int, P: int, count: int) -> Iterator[tuple[int, np.ndarray
     marks the a_i above 1/2, whose fold negated them (so {a_i} - 1/2 is
     0.5 - x there and x - 0.5 elsewhere).  Raises PrecisionExhausted when a
     folded angle cannot be told apart from an integer.
+
+    With a sequence of anchors a0 (rows), it yields (r0, lo, x, neg) with
+    x and neg of shape (rows, m) for the anchors r0, r0 + 1, ...; rows are
+    cut into slabs of at most CHUNK // min(count, CHUNK), so no chunk holds
+    more than CHUNK angles.  A single int anchor is the one-row case.
     """
+    single = isinstance(a0, int)
+    anchors = [a0] if single else list(a0)
     one = 1 << P
     floor = _dropped_err(P)
-    iw = np.arange(1, min(count, CHUNK) + 1, dtype=np.uint64) * _top_limbs(w, P)
-    for lo in range(0, count, CHUNK):
-        m = min(CHUNK, count - lo)
-        x, neg = _fold(iw[:, :m] + _top_limbs((a0 + lo * w) % one, P))
-        if x.min() <= floor:
-            raise PrecisionExhausted("rotation angle indistinguishable from an integer")
-        yield lo, x, neg
+    width = min(count, CHUNK)
+    slab = CHUNK // max(width, 1)
+    iw = np.arange(1, width + 1, dtype=np.uint64) * _top_limbs([w], P)
+    for r0 in range(0, len(anchors), slab):
+        rows = anchors[r0 : r0 + slab]
+        for lo in range(0, count, CHUNK):
+            m = min(CHUNK, count - lo)
+            x, neg = _fold(iw[:, :, :m] + _top_limbs([(a + lo * w) % one for a in rows], P))
+            if x.min() <= floor:
+                raise PrecisionExhausted("rotation angle indistinguishable from an integer")
+            yield (lo, x[0], neg[0]) if single else (r0, lo, x, neg)
 
 
 def _fold(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +122,9 @@ def _fold(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f[2] + (f[1] + f[0]), neg
 
 
-def neumaier(terms: np.ndarray, s: float, comp: float) -> tuple[np.ndarray, np.ndarray]:
-    """Running Neumaier sums of ``terms`` continued from a carried (s, comp).
+def neumaier(terms: np.ndarray, s, comp) -> tuple[np.ndarray, np.ndarray]:
+    """Running Neumaier sums of ``terms`` continued from a carried (s, comp),
+    along the last axis; for 2-D terms, s and comp carry one value per row.
 
     Returns the arrays (s_i, comp_i) after each term; s_i + comp_i is the
     compensated partial sum.  Bit-identical to the scalar recurrence
@@ -118,18 +136,18 @@ def neumaier(terms: np.ndarray, s: float, comp: float) -> tuple[np.ndarray, np.n
     because both cumulative sums run left to right and TwoSum yields the
     same exact rounding error as either branch.
     """
-    n = len(terms)
-    run = np.empty(n + 1)
-    run[0] = s
-    run[1:] = terms
-    np.add.accumulate(run, out=run)
-    prev, cur = run[:-1], run[1:]
+    shape = terms.shape[:-1] + (terms.shape[-1] + 1,)
+    run = np.empty(shape)
+    run[..., 0] = s
+    run[..., 1:] = terms
+    np.add.accumulate(run, axis=-1, out=run)
+    prev, cur = run[..., :-1], run[..., 1:]
     b = cur - prev
-    e = np.empty(n + 1)
-    e[0] = comp
-    e[1:] = (prev - (cur - b)) + (terms - b)
-    np.add.accumulate(e, out=e)
-    return cur, e[1:]
+    e = np.empty(shape)
+    e[..., 0] = comp
+    e[..., 1:] = (prev - (cur - b)) + (terms - b)
+    np.add.accumulate(e, axis=-1, out=e)
+    return cur, e[..., 1:]
 
 
 class _Snapshots:
@@ -152,24 +170,33 @@ class _Snapshots:
 
 
 def log2sin_block(
-    a0: int,
+    a0,
     w: int,
     P: int,
     count: int,
-    ang_err: float,
+    ang_err,
     emit_at: Sequence[int] = (),
-) -> tuple[float, float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple:
     """Sum log|2 sin(pi a_i)| for a_i = (a0 + i*w)/2^P, i = 1..count.
 
     Returns (sum, compensation, err_bound, snapshots) where snapshots holds
     the arrays (i, sum, compensation) at each index in emit_at (ascending).
     ``ang_err`` is the caller's absolute bound on the angle error of every
     a_i; it enters the error bound through the cot-conditioned term.
+
+    With a sequence of anchors a0 (rows), ang_err is a scalar or one bound
+    per row, and sum, compensation and err_bound are arrays with one entry
+    per row; emit_at needs a single anchor.
     """
-    ang_err += orbit_err(P)
+    single = isinstance(a0, int)
+    anchors = [a0] if single else list(a0)
+    if len(emit_at) and not single:
+        raise ValueError("emit_at needs a single anchor")
+    ang_err = np.broadcast_to(np.asarray(ang_err, dtype=np.float64) + orbit_err(P), len(anchors))
     snaps = _Snapshots(emit_at)
-    s = comp = err = 0.0
-    for lo, x, _neg in orbit(a0, w, P, count):
+    s, comp, err = np.zeros((3, len(anchors)))
+    for r0, lo, x, _neg in orbit(anchors, w, P, count):
+        rows = slice(r0, r0 + len(x))
         sn = np.sin(np.pi * x)
         term = np.log(sn + sn)
         # Per-term budget: x keeps relative 2^-53 and |arg cot arg| <= 1 on
@@ -177,11 +204,15 @@ def log2sin_block(
         # small x is; the log adds up to an ulp of its own magnitude.
         # ang_err covers the gap between the computed angle and the true
         # orbit point, cot-conditioned.
-        err += _EPS * (4.5 * len(x) + 2.0 * np.abs(term).sum()) + ang_err * (1.0 / x).sum()
-        run_s, run_c = neumaier(term, s, comp)
-        s, comp = run_s[-1], run_c[-1]
-        snaps.take(lo, run_s, run_c)
-    return float(s), float(comp), float(err), snaps.arrays()
+        cond = ang_err[rows] * (1.0 / x).sum(axis=1)
+        err[rows] += _EPS * (4.5 * x.shape[1] + 2.0 * np.abs(term).sum(axis=1)) + cond
+        run_s, run_c = neumaier(term, s[rows], comp[rows])
+        s[rows], comp[rows] = run_s[:, -1], run_c[:, -1]
+        if single:
+            snaps.take(lo, run_s[0], run_c[0])
+    if single:
+        return float(s[0]), float(comp[0]), float(err[0]), snaps.arrays()
+    return s, comp, err, snaps.arrays()
 
 
 def cot_block(

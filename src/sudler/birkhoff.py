@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "sum_series",
     "S_nt",
     "S_nt_split",
+    "S_nt_splits",
     "frac_sum_convergent",
     "discrepancy_scan",
     "cot_sum",
@@ -65,22 +66,34 @@ def _theta_mantissa(theta, ctx: GoldenCtx) -> int:
     return round(frac * (1 << ctx.P))
 
 
+def _sine_partials(
+    n: int, anchors: list[int], count: int, ctx: GoldenCtx
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (r0, partials) chunk by chunk, where row j of partials holds the
+    compensated running sums of sin(pi omega^n ({a + r omega} - 1/2)) over
+    r = 1..count for the anchor a = anchors[r0 + j] / 2^P."""
+    pi_pw = math.pi * ctx.omega_pow_float(n)
+    s, comp = np.zeros((2, len(anchors)))
+    for r0, _lo, x, neg in orbit(anchors, ctx.omega.mantissa, ctx.P, count):
+        rows = slice(r0, r0 + len(x))
+        terms = np.sin(pi_pw * np.where(neg, 0.5 - x, x - 0.5))
+        run_s, run_c = neumaier(terms, s[rows], comp[rows])
+        s[rows], comp[rows] = run_s[:, -1], run_c[:, -1]
+        yield r0, run_s + run_c
+
+
 def sum_series(n: int, t_max: int, theta, ctx: GoldenCtx) -> SumSeries:
     """All partial sums S_nt(theta) for 1 <= t <= t_max in one pass."""
     if n < 1:
         raise ValueError("level n must be >= 1")
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    pw = ctx.omega_pow_float(n)
-    pi_pw = math.pi * pw
-    s = comp = 0.0
     values: list[float] = []
-    for _lo, x, neg in orbit(_theta_mantissa(theta, ctx), ctx.omega.mantissa, ctx.P, t_max):
-        run_s, run_c = neumaier(np.sin(pi_pw * np.where(neg, 0.5 - x, x - 0.5)), s, comp)
-        s, comp = run_s[-1], run_c[-1]
-        values += (run_s + run_c).tolist()
+    for _r0, partials in _sine_partials(n, [_theta_mantissa(theta, ctx)], t_max, ctx):
+        values += partials[0].tolist()
+    pw = ctx.omega_pow_float(n)
     ang_err = (t_max + 2) * 2.0 ** (-ctx.P) + orbit_err(ctx.P)
-    err = t_max * (4.0 * _EPS * pw + ang_err * pi_pw)
+    err = t_max * (4.0 * _EPS * pw + ang_err * (math.pi * pw))
     return SumSeries(n=n, theta=float(theta), values=tuple(values), err=err)
 
 
@@ -113,24 +126,42 @@ def S_nt_split(n: int, t: int, ctx: GoldenCtx, memo: dict | None = None) -> floa
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t == 0:
-        return 0.0
-    parts = []
-    tail = 0
+    memo = {} if memo is None else memo
+    walk = list(zeckendorf(t, ctx.fibs).segments(ctx.fibs))
+    _fill_sums(n, [walk], ctx, memo)
+    return math.fsum([memo[(n, s, tail)] for s, tail in walk])
+
+
+def S_nt_splits(n: int, ts: Iterable[int], ctx: GoldenCtx) -> list[float]:
+    """``S_nt_split`` for every t in ts, bit-identical to one call per t,
+    with the segment sums of each index s computed in one batched pass."""
+    memo: dict = {}
+    walks = [list(zeckendorf(t, ctx.fibs).segments(ctx.fibs)) for t in ts]
+    _fill_sums(n, walks, ctx, memo)
+    return [math.fsum([memo[(n, s, tail)] for s, tail in walk]) for walk in walks]
+
+
+def _fill_sums(n: int, walks, ctx: GoldenCtx, memo: dict) -> None:
+    """Put every segment sum of walks missing from ``memo`` into it, one
+    orbit pass per segment index s (every such segment has F_s terms)."""
+    missing: dict[int, dict[int, None]] = {}
+    for walk in walks:
+        for s, tail in walk:
+            if (n, s, tail) not in memo:
+                missing.setdefault(s, {})[tail] = None
+    for s, tails in missing.items():
+        memo.update(zip([(n, s, tail) for tail in tails], _segment_sums(n, s, list(tails), ctx)))
+
+
+def _segment_sums(n: int, s: int, tails: list[int], ctx: GoldenCtx) -> list[float]:
+    """S_{n, F_s}(t_s omega) for each t_s in tails, in one orbit pass."""
     w = ctx.omega.mantissa
     one = 1 << ctx.P
-    for s in zeckendorf(t, ctx.fibs).indices():
-        fs = ctx.fibs.fib(s)
-        key = (n, s, tail)
-        if memo is not None and key in memo:
-            seg = memo[key]
-        else:
-            seg = sum_series(n, fs, Fraction((tail * w) % one, one), ctx).values[-1]
-            if memo is not None:
-                memo[key] = seg
-        parts.append(seg)
-        tail += fs
-    return math.fsum(parts)
+    sums = np.empty(len(tails))
+    anchors = [(tail * w) % one for tail in tails]
+    for r0, partials in _sine_partials(n, anchors, ctx.fibs.fib(s), ctx):
+        sums[r0 : r0 + len(partials)] = partials[:, -1]
+    return sums.tolist()
 
 
 def frac_sum_convergent(q: int, alpha, theta) -> float:

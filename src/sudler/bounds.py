@@ -8,7 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "perturbed_product",
     "n1_alpha_counterexample",
     "split_product",
+    "split_logs",
     "power_law_scan",
     "PERTURBED_RATIO_UPPER",
     "PERTURBED_RATIO_LOWER",
@@ -258,44 +259,58 @@ class SplitProduct:
         return (self.value - self.direct.value) / self.direct.value
 
 
-def _split_log(
-    k: int, ctx: GoldenCtx, memo: dict | None = None, workers: int = 1
-) -> tuple[tuple[SegmentFactor, ...], float, float]:
-    """Zeckendorf segment factors of P_k with their combined log and error.
+def _split_walk(k: int, ctx: GoldenCtx) -> list[tuple[int, int, int]]:
+    """(s, k_s, phase mantissa) for each Zeckendorf segment of k.
 
     Each segment phase k_s omega is reduced modulo 1 to its signed
-    representative; the geometric-series bound |representative| <
-    omega^{s+1} is asserted rather than assumed.
+    representative in units of 2^-P; the geometric-series bound
+    |representative| < omega^{s+1} is asserted rather than assumed.
     """
     one = 1 << ctx.P
-    half = one >> 1
-    w = ctx.omega.mantissa
-    segments: list[SegmentFactor] = []
-    parts: list[float] = []
-    err = 0.0
-    tail = 0
-    for s in zeckendorf(k, ctx.fibs).indices():
-        fs = ctx.fibs.fib(s)
-        alpha_m = (tail * w) % one
-        if alpha_m > half:
+    walk = []
+    for s, tail in zeckendorf(k, ctx.fibs).segments(ctx.fibs):
+        alpha_m = (tail * ctx.omega.mantissa) % one
+        if alpha_m > one >> 1:
             alpha_m -= one
         if abs(alpha_m) >= ctx.omega_pow_mantissa(s + 1) + tail + 1:
             raise ArithmeticError(
                 f"segment phase |{alpha_m / one:.3e}| >= omega^{s + 1} at k={k}, s={s}"
             )
-        key = (s, tail)
-        if memo is not None and key in memo:
-            log_f, seg_err = memo[key]
-        else:
-            log_f, seg_err = log_abs_sin_product(
-                fs,
-                ctx,
-                alpha_mantissa=alpha_m,
-                alpha_err=(tail + 1) * 2.0 ** (-ctx.P),
-                workers=workers,
-            )
-            if memo is not None:
-                memo[key] = (log_f, seg_err)
+        walk.append((s, tail, alpha_m))
+    return walk
+
+
+def _fill_segments(walks, ctx: GoldenCtx, memo: dict, workers: int) -> None:
+    """Put every segment factor of walks missing from ``memo`` into it.
+
+    All segments with index s have F_s terms, so they are computed as the
+    rows of one batched product per s.
+    """
+    missing: dict[int, dict[int, int]] = {}
+    for walk in walks:
+        for s, tail, alpha_m in walk:
+            if (s, tail) not in memo:
+                missing.setdefault(s, {})[tail] = alpha_m
+    for s, rows in missing.items():
+        logs = log_abs_sin_product(
+            ctx.fibs.fib(s),
+            ctx,
+            alpha_mantissa=list(rows.values()),
+            alpha_err=[(tail + 1) * 2.0 ** (-ctx.P) for tail in rows],
+            workers=workers,
+        )
+        memo.update(zip([(s, tail) for tail in rows], logs))
+
+
+def _assemble_split(
+    walk: list[tuple[int, int, int]], ctx: GoldenCtx, memo: dict
+) -> tuple[tuple[SegmentFactor, ...], float, float]:
+    one = 1 << ctx.P
+    segments: list[SegmentFactor] = []
+    parts: list[float] = []
+    err = 0.0
+    for s, tail, alpha_m in walk:
+        log_f, seg_err = memo[(s, tail)]
         segments.append(
             SegmentFactor(
                 s=s, k_s=tail, alpha=alpha_m / one, log_factor=log_f, factor=math.exp(log_f)
@@ -303,8 +318,35 @@ def _split_log(
         )
         parts.append(log_f)
         err += seg_err
-        tail += fs
     return tuple(segments), math.fsum(parts), err
+
+
+def _split_log(
+    k: int, ctx: GoldenCtx, memo: dict | None = None, workers: int = 1
+) -> tuple[tuple[SegmentFactor, ...], float, float]:
+    """Zeckendorf segment factors of P_k with their combined log and error.
+
+    ``memo`` (keyed by (s, k_s)) lets bulk scans share segment factors.
+    """
+    memo = {} if memo is None else memo
+    walk = _split_walk(k, ctx)
+    _fill_segments([walk], ctx, memo, workers)
+    return _assemble_split(walk, ctx, memo)
+
+
+def split_logs(
+    ks: Iterable[int], ctx: GoldenCtx, memo: dict | None = None, workers: int = 1
+) -> Iterator[tuple[tuple[SegmentFactor, ...], float, float]]:
+    """``_split_log`` for every k in ks, bit-identical to one call per k.
+
+    The factors missing from ``memo`` are computed first, one batched
+    product per segment index s; the per-k results are then assembled
+    lazily from the memo, so a scan over many k holds one of them at a time.
+    """
+    memo = {} if memo is None else memo
+    walks = [_split_walk(k, ctx) for k in ks]
+    _fill_segments(walks, ctx, memo, workers)
+    return (_assemble_split(walk, ctx, memo) for walk in walks)
 
 
 def split_product(

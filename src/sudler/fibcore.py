@@ -119,6 +119,17 @@ class ZeckRep:
         """Indices s with b_s = 1, in decreasing order."""
         return tuple(s for s in range(self.m, 0, -1) if self.bits[s - 1])
 
+    def segments(self, table: FibTable | None = None) -> list[tuple[int, int]]:
+        """(s, n_s) for each index s with b_s = 1, in decreasing order, where
+        n_s = sum_{u > s} b_u F_u is the part of n above segment s."""
+        t = table or _TABLE
+        out = []
+        tail = 0
+        for s in self.indices():
+            out.append((s, tail))
+            tail += t.fib(s)
+        return out
+
     def value(self, table: FibTable | None = None) -> int:
         t = table or _TABLE
         return sum(t.fib(s) for s in self.indices())
@@ -131,20 +142,26 @@ class ZeckRep:
 def zeckendorf(n: int, table: FibTable | None = None) -> ZeckRep:
     """Greedy decomposition of n >= 0 into non-adjacent Fibonacci numbers.
 
-    Repeatedly subtracts the Fibonacci floor; 0 maps to the empty
-    representation of length 0.
+    Takes the Fibonacci floor F_m of n once, then walks the indices down
+    from m: whenever F_i fits into the remainder, b_i = 1 and the walk
+    skips to i - 2 (the remainder is now below F_{i-1}).  This is the
+    greedy choice of the largest Fibonacci floor at every step.  0 maps to
+    the empty representation of length 0.
     """
     if n < 0:
         raise ValueError(f"zeckendorf requires n >= 0, got {n}")
     t = table or _TABLE
-    bits: list[int] = []
+    i, _v = t.floor(n)
+    values = t._values  # floor() has extended the table past n
+    bits = [0] * i
     remaining = n
-    while remaining > 0:
-        i, v = t.floor(remaining)
-        if not bits:
-            bits = [0] * i
-        bits[i - 1] = 1
-        remaining -= v
+    while remaining:
+        if values[i] <= remaining:
+            bits[i - 1] = 1
+            remaining -= values[i]
+            i -= 2
+        else:
+            i -= 1
     return ZeckRep(n=n, bits=tuple(bits))
 
 

@@ -92,35 +92,43 @@ class Decomposition:
 def log_abs_sin_product(
     count: int,
     ctx: GoldenCtx,
-    alpha_mantissa: int = 0,
-    alpha_err: float = 0.0,
+    alpha_mantissa=0,
+    alpha_err=0.0,
     start_r: int = 0,
     workers: int = 1,
-) -> tuple[float, float]:
+):
     """(log, err) of prod_{r=start_r+1}^{start_r+count} |2 sin(pi(r omega + alpha))|.
 
-    alpha enters as a signed mantissa in units of 2^-P.  Raises
-    PrecisionExhausted when the rigorous error bound crosses ERR_BUDGET.
+    alpha enters as a signed mantissa in units of 2^-P.  Given a sequence of
+    mantissas (rows) and a scalar or one alpha_err per row, it returns a
+    list of (log, err), one per row, from one kernel call per block.
+    Raises PrecisionExhausted when a rigorous error bound crosses ERR_BUDGET.
     """
+    single = isinstance(alpha_mantissa, int)
+    alphas = [alpha_mantissa] if single else list(alpha_mantissa)
     if count <= 0:
-        return 0.0, 0.0
+        out = [(0.0, 0.0)] * len(alphas)
+        return out[0] if single else out
     P = ctx.P
     w = ctx.omega.mantissa
     one = 1 << P
-    ang_err = (start_r + count + 1) * 2.0 ** (-P) + alpha_err
+    ang_err = (start_r + count + 1) * 2.0 ** (-P) + np.asarray(alpha_err, dtype=np.float64)
     jobs = [
-        (((start_r + s) * w + alpha_mantissa) % one, w, P, cnt, ang_err)
+        ([((start_r + s) * w + a) % one for a in alphas], w, P, cnt, ang_err)
         for s, cnt in block_spans(count)
     ]
-    results = map_blocks(log2sin_block, jobs, workers)
-    log_value = merge_partials([(s, c) for s, c, _e, _snaps in results])
-    err = math.fsum(e for _s, _c, e, _snaps in results)
-    if err > ERR_BUDGET:
-        raise PrecisionExhausted(
-            f"log-product error bound {err:.3e} exceeds budget {ERR_BUDGET:.1e} "
-            f"at count={count}, P={P}"
-        )
-    return log_value, err
+    blocks = map_blocks(log2sin_block, jobs, workers)
+    out = []
+    # each row holds one anchor's (sum, compensation, err), block by block
+    for row in zip(*(zip(s.tolist(), c.tolist(), e.tolist()) for s, c, e, _sn in blocks)):
+        err = math.fsum(e for _s, _c, e in row)
+        if err > ERR_BUDGET:
+            raise PrecisionExhausted(
+                f"log-product error bound {err:.3e} exceeds budget {ERR_BUDGET:.1e} "
+                f"at count={count}, P={P}"
+            )
+        out.append((merge_partials([(s, c) for s, c, _e in row]), err))
+    return out[0] if single else out
 
 
 def sudler_P(k: int, ctx: GoldenCtx, workers: int = 1) -> ProductResult:

@@ -392,13 +392,12 @@ def check_partial_sums(cfg: _Cfg) -> CheckResult:
     K = bk.PARTIAL_SUM_K
     worst_ratio = 0.0
     worst_split = 0.0
-    memo: dict = {}
     for n in range(2, hi + 1):
         fn = fc.fib(n)
         series = bk.sum_series(n, fn - 1, 0.0, ctx)
+        splits = bk.S_nt_splits(n, range(1, fn), ctx)
         pw = ctx.omega_pow_float(n)
-        for t, v in enumerate(series.values, start=1):
-            split = bk.S_nt_split(n, t, ctx, memo)
+        for t, (v, split) in enumerate(zip(series.values, splits), start=1):
             worst_split = max(worst_split, abs(split - v))
             if n >= lo:
                 worst_ratio = max(worst_ratio, abs(v) / (K * pw * (math.log(t) + 1.0)))
@@ -448,8 +447,8 @@ def check_split_product(cfg: _Cfg) -> CheckResult:
     for k, log_p in pr._log_prefix_iter(k_max, 1, ctx, cfg.workers):
         directs[k] = log_p
     worst = 0.0
-    for k in range(1, k_max + 1):
-        segments, log_split, _err = bd._split_log(k, ctx, memo, cfg.workers)
+    splits = bd.split_logs(range(1, k_max + 1), ctx, memo, cfg.workers)
+    for k, (_segments, log_split, _err) in enumerate(splits, start=1):
         rel = abs(math.expm1(log_split - directs[k]))
         worst = max(worst, rel)
         if worst > 1e-10:
@@ -458,13 +457,12 @@ def check_split_product(cfg: _Cfg) -> CheckResult:
     rng_ks = sorted(
         {2 + (hash((cfg.seed, i)) % (fc.fib(25) - 2)) for i in range(_q(cfg, 10, 100))}
     )
+    split_at = dict(zip(rng_ks, bd.split_logs(rng_ks, ctx, memo, cfg.workers)))
     it = pr._log_prefix_iter(max(rng_ks), 1, ctx, cfg.workers)
     pos = 0
-    targets = set(rng_ks)
     for k, log_p in it:
-        if k in targets:
-            segments, log_split, _err = bd._split_log(k, ctx, memo, cfg.workers)
-            rel = abs(math.expm1(log_split - log_p))
+        if k in split_at:
+            rel = abs(math.expm1(split_at[k][1] - log_p))
             worst = max(worst, rel)
             pos += 1
             if pos == len(rng_ks):
@@ -644,12 +642,10 @@ def check_segment_factors(cfg: _Cfg) -> CheckResult:
     perturbed-product range around its Q_s."""
     ctx = cfg.ctx
     k_max = _q(cfg, 1000, 10_000)
-    memo: dict = {}
     qn_cache: dict[int, float] = {}
     lo_seen = math.inf
     hi_seen = 0.0
-    for k in range(1, k_max + 1):
-        segments, _log, _err = bd._split_log(k, ctx, memo, cfg.workers)
+    for segments, _log, _err in bd.split_logs(range(1, k_max + 1), ctx, workers=cfg.workers):
         for seg in segments:
             if seg.s not in qn_cache:
                 qn_cache[seg.s] = pr.Q_n(seg.s, ctx, workers=cfg.workers).value

@@ -9,6 +9,7 @@ import pytest
 from sudler import (
     S_nt,
     S_nt_split,
+    S_nt_splits,
     birkhoff_S,
     cot2_sum,
     cot_profile,
@@ -49,6 +50,12 @@ class TestPartialSums:
                 direct = S_nt(n, t, 0.0, ctx)
                 split = S_nt_split(n, t, ctx, memo)
                 assert abs(direct - split) < 1e-12
+
+    def test_batched_split_is_bit_identical(self, ctx):
+        n = 12
+        ts = range(ctx.fibs.fib(n))
+        want = [S_nt_split(n, t, ctx).hex() for t in ts]
+        assert [v.hex() for v in S_nt_splits(n, ts, ctx)] == want
 
     def test_check_split_flag(self, ctx):
         S_nt(10, 100, 0.0, ctx, check_split=True)

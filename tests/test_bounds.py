@@ -11,6 +11,7 @@ from sudler import (
     Q_n,
     convex_sine_check,
     log_lower_check,
+    make_ctx,
     perturbed_product,
     power_law_scan,
     prod_bounds_check,
@@ -20,8 +21,11 @@ from sudler import (
 from sudler.bounds import (
     PERTURBED_RATIO_LOWER,
     PERTURBED_RATIO_UPPER,
+    _split_log,
     n1_alpha_counterexample,
+    split_logs,
 )
+from sudler.fibcore import fib
 
 
 class TestConvexSine:
@@ -139,6 +143,48 @@ class TestSplit:
         for k in (2, 33, 777, 4181, 9999):
             sp = split_product(k, ctx, memo=memo)
             assert abs(sp.rel_residual) < 1e-10
+
+
+def split_bits(result):
+    """A _split_log result with every float as its exact hex string."""
+    segments, log_value, err = result
+    segs = [(g.s, g.k_s, g.alpha.hex(), g.log_factor.hex(), g.factor.hex()) for g in segments]
+    return segs, log_value.hex(), err.hex()
+
+
+class TestSplitLogs:
+    """The batched split must equal one _split_log call per k bit for bit."""
+
+    @staticmethod
+    def assert_matches_per_k(ctx, ks, memo=None):
+        got = [split_bits(r) for r in split_logs(ks, ctx, memo)]
+        ref_memo: dict = {}  # filled by single-anchor products only
+        want = [split_bits(_split_log(k, ctx, ref_memo)) for k in ks]
+        assert got == want
+
+    def test_every_k_up_to_3000(self, ctx):
+        self.assert_matches_per_k(ctx, range(1, 3001))
+
+    def test_per_row_phase_errors_at_64_bits(self):
+        """At P = 64 each segment's phase error (k_s + 1) 2^-64 is large
+        enough to show in its err, row by row."""
+        self.assert_matches_per_k(make_ctx(64), range(1, 1001))
+
+    def test_two_block_segment(self, ctx):
+        """F_25 + 7 has an s = 25 segment of 75025 terms, more than one
+        BLOCK, so its rows are merged across two blocks."""
+        ks = [fib(25) - 1, fib(25) + 7]
+        self.assert_matches_per_k(ctx, ks)
+        assert [g.s for g in _split_log(fib(25) + 7, ctx)[0]] == [25, 5, 3]
+
+    def test_shared_memo_across_calls(self, ctx):
+        memo: dict = {}
+        first = [split_bits(r) for r in split_logs(range(1, 400), ctx, memo)]
+        size = len(memo)
+        again = [split_bits(r) for r in split_logs(range(1, 400), ctx, memo)]
+        assert len(memo) == size and again == first
+        self.assert_matches_per_k(ctx, range(300, 700), memo)
+        assert len(memo) > size
 
 
 class TestPowerLaw:

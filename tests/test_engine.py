@@ -190,6 +190,63 @@ class TestLog2SinBlock:
         assert abs((s + c) - blockwise) <= err + block_err
 
 
+class TestRows:
+    """A sequence of anchors runs through the same kernel as one anchor,
+    row by row; every row must equal its own single-anchor call bit for
+    bit, wherever the chunk and slab cuts fall."""
+
+    @staticmethod
+    def assert_rows_match(ctx, starts, count, seed):
+        P, w, one = ctx.P, ctx.omega.mantissa, 1 << ctx.P
+        anchors = [(st * w) % one for st in starts]
+        ang_errs = (np.random.default_rng(seed).random(len(starts)) * 1e-12).tolist()
+        s, c, err, snaps = log2sin_block(anchors, w, P, count, ang_errs)
+        assert s.shape == c.shape == err.shape == (len(starts),)
+        assert len(snaps[0]) == 0
+        want = [log2sin_block(a, w, P, count, e)[:3] for a, e in zip(anchors, ang_errs)]
+        want_s, want_c, want_err = zip(*want)
+        assert bits(s) == bits(want_s)
+        assert bits(c) == bits(want_c)
+        assert bits(err) == bits(want_err)
+
+    def test_rows_crossing_a_chunk(self, pctx):
+        self.assert_rows_match(pctx, [0, fib(20), 987_654_321], CHUNK + 5, 1)
+
+    def test_rows_crossing_slabs(self, pctx):
+        starts = np.random.default_rng(2).integers(0, 10**9, 1000).tolist()
+        assert 1000 * 17 > CHUNK  # more rows than one slab holds
+        self.assert_rows_match(pctx, starts, 17, 3)
+
+    def test_orbit_rows_cover_every_anchor_once(self, ctx):
+        P, w = ctx.P, ctx.omega.mantissa
+        anchors = [(t * w) % (1 << P) for t in range(1000)]
+        seen = np.zeros(len(anchors), dtype=int)
+        for r0, lo, x, neg in orbit(anchors, w, P, 17):
+            assert lo == 0 and x.shape == neg.shape and x.size <= CHUNK
+            seen[r0 : r0 + len(x)] += 1
+        assert seen.tolist() == [1] * len(anchors)
+
+    def test_2d_neumaier_equals_rows(self):
+        rng = np.random.default_rng(11)
+        terms = rng.standard_normal((5, 300)) * 10.0 ** rng.integers(-12, 12, (5, 300))
+        s0 = rng.standard_normal(5) * 1e10
+        c0 = rng.standard_normal(5) * 1e-7
+        run_s, run_c = neumaier(terms, s0, c0)
+        for j in range(5):
+            want_s, want_c = neumaier(terms[j], s0[j], c0[j])
+            assert bits(run_s[j]) == bits(want_s) and bits(run_c[j]) == bits(want_c)
+
+    def test_one_row_near_an_integer_raises(self, pctx):
+        P, w, one = pctx.P, pctx.omega.mantissa, 1 << pctx.P
+        anchors = [(t * w) % one for t in (3, 40, 500)] + [(-5 * w) % one]
+        with pytest.raises(PrecisionExhausted):
+            log2sin_block(anchors, w, P, 10, 0.0)
+
+    def test_emit_at_needs_a_single_anchor(self, ctx):
+        with pytest.raises(ValueError):
+            log2sin_block([0, 1], ctx.omega.mantissa, ctx.P, 10, 0.0, emit_at=[3])
+
+
 class TestRigour:
     """The rigorous err charges each log|2 sin(pi x)| term (4.5 + 2|term|)
     2^-53 for float rounding, plus orbit_err(P)/x for the kernel's angle.

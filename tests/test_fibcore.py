@@ -70,6 +70,34 @@ def test_zeckendorf_uniqueness_against_enumeration():
         assert tuple(sorted(fc.zeckendorf(n).indices())) == reps[n]
 
 
+def greedy_zeckendorf_bits(n: int) -> tuple[int, ...]:
+    """The repeated-Fibonacci-floor loop the table walk replaces, kept as
+    the reference."""
+    bits: list[int] = []
+    remaining = n
+    while remaining > 0:
+        i, v = fc.fib_floor(remaining)
+        if not bits:
+            bits = [0] * i
+        bits[i - 1] = 1
+        remaining -= v
+    return tuple(bits)
+
+
+def test_zeckendorf_walk_matches_greedy_oracle():
+    for n in range(20_001):
+        assert fc.zeckendorf(n).bits == greedy_zeckendorf_bits(n), n
+    for m in range(1, 61):
+        for n in (fc.fib(m) - 1, fc.fib(m), fc.fib(m) + 1):
+            assert fc.zeckendorf(n).bits == greedy_zeckendorf_bits(n), n
+
+
+def test_zeckendorf_segments():
+    rep = fc.zeckendorf(7 + 144)  # F_12 + F_5 + F_3
+    assert rep.segments() == [(12, 0), (5, 144), (3, 149)]
+    assert fc.zeckendorf(0).segments() == []
+
+
 @given(st.integers(min_value=0, max_value=10**15))
 @settings(max_examples=300, deadline=None)
 def test_zeckendorf_roundtrip_property(n):
