@@ -46,6 +46,9 @@ BLOCK = 1 << 16
 CHUNK = 1 << 13
 
 _EPS = 2.0**-53
+# The float64 part of log2sin_block's per-term charge, in eps, that holds
+# for any angle: a floor on its bound that no precision lowers.
+TERM_FLOOR = 4.5
 
 _LIMB = 48
 _LIMB_MASK = (1 << _LIMB) - 1
@@ -205,7 +208,7 @@ def log2sin_block(
         # ang_err covers the gap between the computed angle and the true
         # orbit point, cot-conditioned.
         cond = ang_err[rows] * (1.0 / x).sum(axis=1)
-        err[rows] += _EPS * (4.5 * x.shape[1] + 2.0 * np.abs(term).sum(axis=1)) + cond
+        err[rows] += _EPS * (TERM_FLOOR * x.shape[1] + 2.0 * np.abs(term).sum(axis=1)) + cond
         run_s, run_c = neumaier(term, s[rows], comp[rows])
         s[rows], comp[rows] = run_s[:, -1], run_c[:, -1]
         if single:

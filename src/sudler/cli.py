@@ -34,6 +34,7 @@ from .goldenangle import DEFAULT_PRECISION_BITS, make_ctx
 __all__ = ["RunConfig", "run", "main"]
 
 _ENV_PRECISION = "SUDLER_PRECISION_BITS"
+_ROUTES = {"direct": "direct orbit sum", "factors": "A_n B_n C_n factors"}
 
 
 @dataclass
@@ -179,14 +180,18 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     if cmd == "q":
         fn = ctx.fibs.fib(args.n)
         res = pr.Q_n(args.n, ctx, workers=cfg.workers)
-        print(f"Q_{args.n} = P_{fn} = {_g(res.value)}  (log = {_g(res.log_value)}, |log err| <= {res.err:.3e})", file=out)
+        print(
+            f"Q_{args.n} = P_{fn} = {_g(res.value)}  (log = {_g(res.log_value)}, "
+            f"|log err| <= {res.err:.3e}, route: {_ROUTES[res.route]})",
+            file=out,
+        )
         return 0
     if cmd == "decompose":
         d = pr.decompose(args.n, ctx, workers=cfg.workers)
-        print(f"A_{args.n} = {_g(d.A)}", file=out)
-        print(f"B_{args.n} = {_g(d.B)}", file=out)
-        print(f"C_{args.n} = {_g(d.C)}", file=out)
-        print(f"Q_{args.n} = {_g(d.Q)}", file=out)
+        print(f"A_{args.n} = {_g(d.A)}  (|log err| <= {d.A_err:.3e})", file=out)
+        print(f"B_{args.n} = {_g(d.B)}  (|log err| <= {d.B_err:.3e})", file=out)
+        print(f"C_{args.n} = {_g(d.C)}  (|log err| <= {d.C_err:.3e})", file=out)
+        print(f"Q_{args.n} = {_g(d.Q)}  ({_ROUTES['direct']}, |log err| <= {d.Q_err:.3e})", file=out)
         print(f"residual = {_g(d.residual)}  (residual/Q = {d.rel_residual:.3e})", file=out)
         return 0
     if cmd == "climit":

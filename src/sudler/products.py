@@ -8,7 +8,7 @@ splitting
     C_n = prod_{t=1}^{F_n / 2} (1 - s_n0^2 / s_nt^2),
 
 where C_n uses the generalized product (half-exponent boundary term when
-F_n is odd) and the limiting square-correction product
+F_n is even) and the limiting square-correction product
 
     U(T) = prod_{t=1}^{T} (1 - 1/u_t^2),
     u_t  = 2 sqrt(5) (t - ({t omega} - 1/2)/sqrt(5)).
@@ -20,7 +20,15 @@ a rigorous bound on |log error|, enforced against ERR_BUDGET.
 P_k and U(T) run on the orbit kernel of ``_engine``.  B_n and C_n run as
 numpy array expressions over chunks of at most CHUNK terms, fed by the
 exact residues t F_{n-1} mod F_n, and sum through the same Neumaier
-primitive ``_engine.neumaier``.
+primitive ``_engine.neumaier``.  Both need only t < F_n/2: the residues
+satisfy xi_{F_n - t} = -xi_t, so B_n's log-terms pair up and C_n is the
+square root of its full-period product.
+
+The direct orbit sum charges every term a float64 rounding floor, so its
+bound crosses ERR_BUDGET at F_32 whatever the precision.  The factors'
+log-terms are small, O(1/t), and their charges are relative to each term,
+so log A_n + log B_n + log C_n carries an error of O(eps ln F_n): Q_n
+takes that route where the direct sum's floor does not fit.
 """
 
 from __future__ import annotations
@@ -31,7 +39,16 @@ from typing import Iterator
 
 import numpy as np
 
-from ._engine import CHUNK, block_spans, log2sin_block, map_blocks, merge_partials, neumaier, orbit
+from ._engine import (
+    CHUNK,
+    TERM_FLOOR,
+    block_spans,
+    log2sin_block,
+    map_blocks,
+    merge_partials,
+    neumaier,
+    orbit,
+)
 from .errors import PrecisionExhausted
 from .goldenangle import GoldenCtx
 
@@ -59,23 +76,35 @@ __all__ = [
 ERR_BUDGET = 1e-9
 
 _EPS = 2.0**-53
+_HALF_PI = 1.5707963267948966
+
+# Charges on each B_n and C_n log-term per unit of its weight: the float64
+# part and the factor on omega^n's relative error (_omega_pow_err), rounded
+# up from the derivations at _b_terms (30.5 eps, 1.36) and _c_terms
+# (66.6 eps, 4.12).
+_B_RATE, _B_POW = 40.0 * _EPS, 2.0
+_C_RATE, _C_POW = 80.0 * _EPS, 5.0
 
 _STEPS = np.arange(1, CHUNK + 1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class ProductResult:
-    """A sine product: term count, log value, value, and |log error| bound."""
+    """A sine product: term count, log value, value, |log error| bound, and
+    the route that computed it: "direct" (the orbit sum) or "factors"
+    (log A_n + log B_n + log C_n, for Q_n only)."""
 
     k: int
     log_value: float
     value: float
     err: float
+    route: str = "direct"
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The quadruple (A_n, B_n, C_n, Q_n) and the residual Q - A*B*C."""
+    """The quadruple (A_n, B_n, C_n, Q_n), the residual Q - A*B*C, and the
+    |log error| bound of each; Q is the direct orbit sum."""
 
     n: int
     A: float
@@ -83,10 +112,45 @@ class Decomposition:
     C: float
     Q: float
     residual: float
+    A_err: float
+    B_err: float
+    C_err: float
+    Q_err: float
 
     @property
     def rel_residual(self) -> float:
         return self.residual / self.Q
+
+    @property
+    def abc_err(self) -> float:
+        """Bound on |log(A*B*C) - log Q_n| from the three factors' bounds."""
+        return self.A_err + self.B_err + self.C_err
+
+
+def _direct_floor(count: int) -> float:
+    """The float64 rounding floor of a count-term orbit sum's bound, which
+    no precision lowers: log2sin_block charges each term TERM_FLOOR eps."""
+    return TERM_FLOOR * _EPS * count
+
+
+def _omega_pow_err(n: int, ctx: GoldenCtx) -> float:
+    """Relative error of ctx.omega_pow_float(n) beyond its float64 rounding:
+    the P-bit omega is within 2^-P, and omega^n = |F_{n-1} - F_n omega|
+    scales that by F_n."""
+    return ctx.fibs.fib(n) * 2.0 ** (-ctx.P) / ctx.omega_pow_float(n)
+
+
+def _charged(what: str, rounding: float, omega_pow: float) -> float:
+    """The |log err| bound rounding + omega_pow of one factor; raises
+    PrecisionExhausted past ERR_BUDGET, naming the larger part."""
+    err = rounding + omega_pow
+    if err > ERR_BUDGET:
+        if omega_pow >= rounding:
+            source = f"{omega_pow:.3e} of it is the P-bit omega^n error, which more --precision bits lower"
+        else:
+            source = f"{rounding:.3e} of it is float64 rounding, which no --precision lowers"
+        raise PrecisionExhausted(f"{what} error bound {err:.3e} exceeds budget {ERR_BUDGET:.1e}: {source}")
+    return err
 
 
 def log_abs_sin_product(
@@ -102,13 +166,20 @@ def log_abs_sin_product(
     alpha enters as a signed mantissa in units of 2^-P.  Given a sequence of
     mantissas (rows) and a scalar or one alpha_err per row, it returns a
     list of (log, err), one per row, from one kernel call per block.
-    Raises PrecisionExhausted when a rigorous error bound crosses ERR_BUDGET.
+    Raises PrecisionExhausted when a rigorous error bound crosses ERR_BUDGET,
+    before any kernel work when the bound's float64 floor alone does.
     """
     single = isinstance(alpha_mantissa, int)
     alphas = [alpha_mantissa] if single else list(alpha_mantissa)
     if count <= 0:
         out = [(0.0, 0.0)] * len(alphas)
         return out[0] if single else out
+    floor = _direct_floor(count)
+    if floor > ERR_BUDGET:
+        raise PrecisionExhausted(
+            f"the float64 rounding floor of a {count}-term sum, {floor:.3e}, exceeds budget "
+            f"{ERR_BUDGET:.1e}; no --precision lowers it"
+        )
     P = ctx.P
     w = ctx.omega.mantissa
     one = 1 << P
@@ -125,7 +196,9 @@ def log_abs_sin_product(
         if err > ERR_BUDGET:
             raise PrecisionExhausted(
                 f"log-product error bound {err:.3e} exceeds budget {ERR_BUDGET:.1e} "
-                f"at count={count}, P={P}"
+                f"at count={count}, P={P}: its float64 rounding floor {floor:.3e} fits; the rest is the "
+                f"log terms' own rounding, which no --precision lowers, and the P-bit angle term, "
+                f"which more bits do"
             )
         out.append((merge_partials([(s, c) for s, c, _e in row]), err))
     return out[0] if single else out
@@ -164,10 +237,31 @@ def sudler_P_rational(p: int, q: int, n: int) -> float:
 
 
 def Q_n(n: int, ctx: GoldenCtx, workers: int = 1) -> ProductResult:
-    """The renormalisation subsequence Q_n = P_{F_n}."""
+    """The renormalisation subsequence Q_n = P_{F_n}.
+
+    Where the direct orbit sum's float64 floor fits ERR_BUDGET (n <= 31) it
+    is sudler_P(F_n), bit for bit.  Above that it is
+    exp(log A_n + log B_n + log C_n) with the sum of the factors' bounds
+    (route "factors").
+    """
     if n < 1:
         raise ValueError("level n must be >= 1")
-    return sudler_P(ctx.fibs.fib(n), ctx, workers=workers)
+    fn = ctx.fibs.fib(n)
+    if _direct_floor(fn) <= ERR_BUDGET:
+        return sudler_P(fn, ctx, workers=workers)
+    # A first: at low precision its omega^n charge refuses before the long passes
+    log_a, err_a = _log_a(n, ctx)
+    log_c, err_c = _log_c(n, ctx)
+    log_b, err_b = _log_perturbation_product(n, ctx, True, workers)
+    log_q = math.fsum((log_a, log_b, log_c))
+    err = math.fsum((err_a, err_b, err_c)) + _EPS * abs(log_q)
+    if err > ERR_BUDGET:
+        raise PrecisionExhausted(
+            f"factor-route error bound {err:.3e} (A {err_a:.1e}, B {err_b:.1e}, C {err_c:.1e}) "
+            f"exceeds budget {ERR_BUDGET:.1e} at n={n}: omega^n carries relative error "
+            f"{_omega_pow_err(n, ctx):.1e} from the {ctx.P}-bit omega, which more --precision bits lower"
+        )
+    return ProductResult(k=fn, log_value=log_q, value=math.exp(log_q), err=err, route="factors")
 
 
 def A_n(n: int, ctx: GoldenCtx) -> float:
@@ -177,57 +271,113 @@ def A_n(n: int, ctx: GoldenCtx) -> float:
     return 2.0 * ctx.fibs.fib(n) * math.sin(math.pi * ctx.omega_pow_float(n))
 
 
+def _log_a(n: int, ctx: GoldenCtx) -> tuple[float, float]:
+    """(log A_n, |log err| bound).
+
+    With u = 2^-53 and delta = _omega_pow_err: pi * pw costs 3u + delta
+    (the constant, pw's rounding, the product); the sine's condition
+    x cot x <= 1 passes that on and adds 2u (one ulp); 2 F_n is exact and
+    its product adds u; the log adds one ulp, 2u |log A_n|.  The omega^n
+    part is delta itself, since d log sin(pi z)/d log z <= 1.
+    """
+    log_a = math.log(A_n(n, ctx))
+    return log_a, _charged("A_n", _EPS * (8.0 + 2.0 * abs(log_a)), _omega_pow_err(n, ctx))
+
+
 def _residue_chunks(start: int, count: int, fn1: int, fn: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (t, t F_{n-1} mod F_n) as int64 arrays for t = start+1..start+count,
     at most CHUNK at a time.
 
-    Each chunk anchors exactly at (lo F_{n-1}) mod F_n in Python ints and adds
-    i F_{n-1}, i <= CHUNK, in int64, so no product exceeds (CHUNK + 1) F_n.
+    Each chunk anchors exactly at (lo F_{n-1}) mod F_n in Python ints and
+    adds the steps i F_{n-1} mod F_n, i <= CHUNK, taken once in int64 (no
+    product exceeds CHUNK F_n), so one conditional subtraction of F_n
+    reduces the sum.
     """
+    steps = _STEPS * fn1 % fn
     for lo in range(start, start + count, CHUNK):
-        i = _STEPS[: min(CHUNK, start + count - lo)]
-        yield lo + i, ((lo * fn1) % fn + i * fn1) % fn
+        m = min(CHUNK, start + count - lo)
+        res = steps[:m] + (lo * fn1) % fn
+        np.subtract(res, fn, out=res, where=res >= fn)
+        yield lo + _STEPS[:m], res
+
+
+def _sum_terms(chunks, terms) -> tuple[float, float, float]:
+    """Neumaier (sum, compensation) of the log-terms and the plain sum of
+    the weights that terms(t, res) returns, over the residue chunks."""
+    s = comp = weight = 0.0
+    for t, res in chunks:
+        term, g = terms(t, res)
+        run_s, run_c = neumaier(term, s, comp)
+        s, comp = run_s[-1], run_c[-1]
+        weight += g.sum()
+    return float(s), float(comp), float(weight)
+
+
+def _b_terms(
+    t: np.ndarray, res: np.ndarray, fn: int, pw: float, include_quadratic: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The log-terms log1p(w), w = -alpha_nt - h_nt, of B_n (w = -h_nt for
+    B*_n) for 0 < t < F_n/2, and the weights |w|/(1 + w).
+
+    With tau = tan(pi z/2), z = omega^n xi_nt, alpha = 2 tau^2/(1 + tau^2)
+    and sin(pi z) = 2 tau/(1 + tau^2), so w = -2 tau (tau + cot)/(1 + tau^2)
+    (-2 tau cot/(1 + tau^2) for B*_n) is a product of relative-accurate
+    factors.  Each term is within (_B_RATE + _B_POW delta) |w|/(1 + w) of
+    its exact value, with delta = _omega_pow_err.  In units u = 2^-53, taking
+    tan and log1p to one ulp (2u relative; measured at most 1.05u):
+    - xi = (res - F_n/2)/F_n: the difference is exact, the reciprocal and
+      the product add 2u relative to xi;
+    - hz = (pi/2)(pw xi) = pi z/2: pw's rounding, the constant and two
+      products add 4u, so 6u + delta;
+    - tau = tan hz: |hz| < pi omega^4/4 < 0.12, where tan's condition
+      2x/sin 2x is below 1.01, plus 2u: 8.1u + 1.01 delta;
+    - cot(pi t/F_n) is 1/tan(pi t/F_n) for t <= F_n/4 and
+      tan(pi (F_n - 2t)/(2F_n)) above: an exact integer times the constant
+      pi/(2F_n) (1.5u), rounded (u), lands in (0, pi/4], where tan's
+      condition is at most pi/2: 5.9u, 6.9u with the reciprocal;
+    - |tau| < tan(pi omega^n/4) <= 0.24 tan(pi/(2F_n)) <= 0.24 cot, so
+      tau + cot costs 12.8u + 0.32 delta; times 2 tau: 21.9u + 1.33 delta;
+    - 1 + tau^2 (tau^2 < 0.014): 1.3u; the quotient w: 24.2u + 1.36 delta;
+    - log1p(w): |dw|/(1 + w) from w, one ulp of its own (2u |term|), and
+      3u |term| for the Neumaier block sum and the fsum merge.  As
+      |h| <= F_n omega^n/(2t) < 0.23 and alpha < 0.03 keep |w| < 1/4,
+      |term| <= 1.25 |w|/(1 + w).
+    In all (30.5u + 1.36 delta) |w|/(1 + w); B*_n's w costs less.
+    """
+    tau = np.tan(_HALF_PI * (pw * ((res - 0.5 * fn) * (1.0 / fn))))
+    cot = np.tan(np.minimum(2 * t, fn - 2 * t) * (_HALF_PI / fn))
+    np.divide(1.0, cot, out=cot, where=4 * t <= fn)
+    w = -2.0 * tau * (tau + cot if include_quadratic else cot) / (1.0 + tau * tau)
+    return np.log1p(w), np.abs(w) / (1.0 + w)
 
 
 def _log_perturbation_product(
     n: int, ctx: GoldenCtx, include_quadratic: bool, workers: int
 ) -> tuple[float, float]:
-    """Compensated log of prod_{t=1}^{F_n-1} (1 - alpha_nt - h_nt), the exact
-    per-term form of s_nt / (2 sin(pi t/F_n)); omitting the quadratic
-    alpha_nt = 2 sin^2(pi omega^n xi_nt / 2) gives the comparison product."""
+    """(log, |log err| bound) of prod_{t=1}^{F_n-1} (1 - alpha_nt - h_nt), the
+    exact per-term form of s_nt / (2 sin(pi t/F_n)); omitting the quadratic
+    alpha_nt = 2 sin^2(pi omega^n xi_nt / 2) gives the comparison product.
+
+    xi_{F_n - t} = -xi_t flips h and keeps alpha, so term(F_n - t) =
+    term(t), and an even F_n's midpoint has xi = 0, h = 0 and term 0: the
+    log is twice the sum over t < F_n/2.
+    """
     fn = ctx.fibs.fib(n)
     fn1 = ctx.fibs.fib(n - 1)
-    count = fn - 1
-    if count <= 0:
+    half = (fn - 1) // 2
+    if half <= 0:
         return 0.0, 0.0
     pw = ctx.omega_pow_float(n)
-    inv_fn = 1.0 / fn
 
     def block(t0: int, cnt: int) -> tuple[float, float, float]:
-        s = comp = err = 0.0
-        for t, res in _residue_chunks(t0, cnt, fn1, fn):
-            xi = res * inv_fn - 0.5
-            hz = 1.5707963267948966 * (pw * xi)  # pi z / 2
-            s2 = np.sin(hz)
-            c2 = np.cos(hz)
-            alpha = 2.0 * s2 * s2 if include_quadratic else 0.0
-            # folded cot(pi t / F_n), negated past the midpoint
-            back = 2 * t > fn
-            u = np.pi * (np.where(back, fn - t, t) * inv_fn)
-            h = np.where(back, -1.0, 1.0) * (np.cos(u) / np.sin(u)) * (2.0 * s2 * c2)
-            w_ = -alpha - h
-            term = np.log1p(w_)
-            err += _EPS * (8.0 * (alpha + np.abs(h)) / (1.0 + w_) + 2.0 * np.abs(term) + 3.0).sum()
-            run_s, run_c = neumaier(term, s, comp)
-            s, comp = run_s[-1], run_c[-1]
-        return float(s), float(comp), float(err)
+        chunks = _residue_chunks(t0, cnt, fn1, fn)
+        return _sum_terms(chunks, lambda t, res: _b_terms(t, res, fn, pw, include_quadratic))
 
-    results = map_blocks(block, block_spans(count), workers)
-    log_value = merge_partials([(s, c) for s, c, _e in results])
-    err = math.fsum(e for _s, _c, e in results)
-    if err > ERR_BUDGET:
-        raise PrecisionExhausted(f"perturbation-product error bound {err:.3e} over budget")
-    return log_value, err
+    results = map_blocks(block, block_spans(half), workers)
+    log_value = 2.0 * merge_partials([(s, c) for s, c, _g in results])
+    weight = 2.0 * math.fsum(g for _s, _c, g in results)
+    what = "B_n" if include_quadratic else "B*_n"
+    return log_value, _charged(what, _B_RATE * weight, _B_POW * _omega_pow_err(n, ctx) * weight)
 
 
 def B_n(n: int, ctx: GoldenCtx, workers: int = 1) -> float:
@@ -248,6 +398,56 @@ def B_star(n: int, ctx: GoldenCtx, workers: int = 1) -> float:
     return math.exp(log_b)
 
 
+def _c_terms(
+    t: np.ndarray, res: np.ndarray, fn: int, pw: float, s0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The log-terms log1p(-q), q = (s_n0/s_nt)^2, of C_n for 0 < t <= F_n/2,
+    and the weights q/(1 - q).  Raises ValueError naming t unless
+    s_n0/s_nt < 1.
+
+    s_nt = 2 sin y with y = pi (t - pw (res - F_n/2))/F_n in (0, pi/2], and
+    with tau = tan(y/2), s_n0/s_nt = s0 (1 + tau^2)/(4 tau).  Each term is
+    within (_C_RATE + _C_POW delta) q/(1 - q) of its exact value (u and delta as
+    at _b_terms; s0 = 2 sin(pi pw/2) carries 5u + delta):
+    - pw (res - F_n/2): the difference is exact; pw and the product cost
+      2u + delta;
+    - t minus that: |pw (res - F_n/2)| <= F_n omega^n/2 < 0.24 is at most a
+      third of t - pw (res - F_n/2), so u + (2u + delta)/3;
+    - the reciprocal, pi/2 and two products add 4u: 5.7u + delta/3;
+    - tau: y/2 lies in (0, pi/4], where tan's condition is at most pi/2,
+      plus 2u: 10.9u + 0.53 delta; 1 + tau^2 (tau <= 1): 12.4u + 0.53 delta;
+    - ratio: 30.3u + 2.06 delta; q = ratio^2: 61.6u + 4.12 delta;
+    - log1p(-q): q/(1 - q) times q's relative error, one ulp of its own and
+      3u for the sums, on |term| <= q/(1 - q).
+    In all (66.6u + 4.12 delta) q/(1 - q).
+    """
+    tau = np.tan(_HALF_PI * ((t - pw * (res - 0.5 * fn)) * (1.0 / fn)))
+    ratio = s0 * (1.0 + tau * tau) / (4.0 * tau)
+    bad = np.flatnonzero(~(ratio < 1.0))
+    if len(bad):
+        raise ValueError(f"C_n requires positive terms; s_n0/s_nt = {ratio[bad[0]]} at t = {t[bad[0]]}")
+    q = ratio * ratio
+    return np.log1p(-q), q / (1.0 - q)
+
+
+def _log_c(n: int, ctx: GoldenCtx) -> tuple[float, float]:
+    """(log C_n, |log err| bound): the sum over t < F_n/2 plus, for even
+    F_n, half the self-paired midpoint t = F_n/2."""
+    fn = ctx.fibs.fib(n)
+    fn1 = ctx.fibs.fib(n - 1)
+    pw = ctx.omega_pow_float(n)
+    s0 = 2.0 * math.sin(math.pi * pw * 0.5)
+    s, comp, weight = _sum_terms(
+        _residue_chunks(0, (fn - 1) // 2, fn1, fn), lambda t, res: _c_terms(t, res, fn, pw, s0)
+    )
+    log_c = s + comp
+    if fn % 2 == 0:
+        term, g = _c_terms(*next(_residue_chunks(fn // 2 - 1, 1, fn1, fn)), fn, pw, s0)
+        log_c += 0.5 * float(term[0])
+        weight += 0.5 * float(g[0])
+    return log_c, _charged("C_n", _C_RATE * weight, _C_POW * _omega_pow_err(n, ctx) * weight)
+
+
 def C_n(n: int, ctx: GoldenCtx) -> float:
     """Square-correction product over half a period of s_nt, the exact
     square root of prod_{t=1}^{F_n-1} (1 - s_n0^2 / s_nt^2).
@@ -259,29 +459,7 @@ def C_n(n: int, ctx: GoldenCtx) -> float:
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
-    fn = ctx.fibs.fib(n)
-    fn1 = ctx.fibs.fib(n - 1)
-    pw = ctx.omega_pow_float(n)
-    s0 = 2.0 * math.sin(math.pi * pw * 0.5)
-    half_fn = 0.5 * fn
-    inv_fn = 1.0 / fn
-
-    def terms(t: np.ndarray, res: np.ndarray) -> np.ndarray:
-        ratio = s0 / (2.0 * np.sin(np.pi * ((t - pw * (res - half_fn)) * inv_fn)))
-        a = 1.0 - ratio * ratio
-        bad = np.flatnonzero(a <= 0.0)
-        if len(bad):
-            raise ValueError(f"C_n requires positive terms; term({t[bad[0]]}) = {a[bad[0]]}")
-        return a
-
-    s = comp = 0.0
-    for t, res in _residue_chunks(0, (fn - 1) // 2, fn1, fn):
-        run_s, run_c = neumaier(np.log(terms(t, res)), s, comp)
-        s, comp = run_s[-1], run_c[-1]
-    value = math.exp(s + comp)
-    if fn % 2 == 0:  # the self-paired midpoint t = F_n/2, exponent 1/2
-        value *= math.sqrt(terms(*next(_residue_chunks(fn // 2 - 1, 1, fn1, fn)))[0])
-    return value
+    return math.exp(_log_c(n, ctx)[0])
 
 
 def u_t(t: int, ctx: GoldenCtx) -> float:
@@ -318,13 +496,20 @@ def C_infinity_trunc(T: int, ctx: GoldenCtx) -> float:
 
 
 def decompose(n: int, ctx: GoldenCtx, workers: int = 1) -> Decomposition:
-    """Compute Q_n directly and A_n, B_n, C_n by their own formulas, plus
-    the residual Q - A*B*C."""
-    q = Q_n(n, ctx, workers=workers).value
-    a = A_n(n, ctx)
-    b = B_n(n, ctx, workers=workers)
-    c = C_n(n, ctx)
-    return Decomposition(n=n, A=a, B=b, C=c, Q=q, residual=q - a * b * c)
+    """Compute Q_n by the direct orbit sum (never the factor route, so the
+    two stay independent) and A_n, B_n, C_n by their own formulas, plus
+    the residual Q - A*B*C and every bound."""
+    if n < 1:
+        raise ValueError("level n must be >= 1")
+    q = sudler_P(ctx.fibs.fib(n), ctx, workers=workers)
+    err_a = _log_a(n, ctx)[1]
+    log_b, err_b = _log_perturbation_product(n, ctx, True, workers)
+    log_c, err_c = _log_c(n, ctx)
+    a, b, c = A_n(n, ctx), math.exp(log_b), math.exp(log_c)
+    return Decomposition(
+        n=n, A=a, B=b, C=c, Q=q.value, residual=q.value - a * b * c,
+        A_err=err_a, B_err=err_b, C_err=err_c, Q_err=q.err,
+    )
 
 
 def ratio_PFn_minus1(n: int, ctx: GoldenCtx, workers: int = 1) -> float:

@@ -33,6 +33,13 @@ def test_q_subcommand_reports_value_and_err():
     assert "|log err| <=" in out
 
 
+def test_q_above_direct_reach_takes_factor_route():
+    status, out = run(["q", "33"])
+    assert status == 0
+    assert "route: A_n B_n C_n factors" in out
+    assert float(out.split("|log err| <= ")[1].split(",")[0]) < 1e-12
+
+
 def test_p_prints_17_significant_digits():
     status, out = run(["p", "10"])
     assert status == 0
@@ -45,6 +52,8 @@ def test_decompose_residual_small():
     status, out = run(["decompose", "15"])
     assert status == 0
     assert "residual/Q" in out
+    assert all(f"{f}_15 = " in line and "|log err| <= " in line
+               for f, line in zip("ABCQ", out.splitlines()))
     rel = float(out.rsplit("residual/Q = ", 1)[1].rstrip(")\n"))
     assert abs(rel) < 1e-10
 

@@ -4,6 +4,7 @@ import math
 from types import SimpleNamespace
 
 import mpmath
+import numpy as np
 import pytest
 
 from sudler import (
@@ -16,14 +17,24 @@ from sudler import (
     Q_n,
     decompose,
     make_ctx,
+    products,
     profile,
     ratio_PFn_minus1,
     sudler_P,
     sudler_P_rational,
 )
 from sudler._engine import CHUNK
-from sudler.goldenangle import gen_prod
-from sudler.products import _log_perturbation_product, _residue_chunks, u_t
+from sudler.goldenangle import gen_sum
+from sudler.products import (
+    _b_terms,
+    _c_terms,
+    _log_a,
+    _log_c,
+    _log_perturbation_product,
+    _omega_pow_err,
+    _residue_chunks,
+    u_t,
+)
 
 mpmath.mp.dps = 60
 MP_OMEGA = (mpmath.sqrt(5) - 1) / 2
@@ -50,7 +61,7 @@ def scalar_log_perturbation(n, ctx, include_quadratic):
         h = sgn * (math.cos(u) / math.sin(u)) * (2.0 * s2 * c2)
         w_ = -alpha - h
         term = math.log1p(w_)
-        errs.append(EPS * (8.0 * (alpha + abs(h)) / (1.0 + w_) + 2.0 * abs(term) + 3.0))
+        errs.append((40.0 * EPS + 2.0 * fn * 2.0**-ctx.P / pw) * abs(w_) / (1.0 + w_))
         t2 = s_acc + term
         if abs(s_acc) >= abs(term):
             comp += (s_acc - t2) + term
@@ -61,21 +72,22 @@ def scalar_log_perturbation(n, ctx, include_quadratic):
 
 
 def scalar_c_n(n, ctx):
-    """Oracle: C_n as gen_prod over the scalar per-t term."""
+    """Oracle: C_n as exp of gen_sum over the scalar per-t log1p term, with
+    half the midpoint term for even F_n."""
     fn = ctx.fibs.fib(n)
     fn1 = ctx.fibs.fib(n - 1)
     pw = ctx.omega_pow_float(n)
     s0 = 2.0 * math.sin(math.pi * pw * 0.5)
 
     def term(t):
-        arg = (t - pw * ((t * fn1) % fn - 0.5 * fn)) * (1.0 / fn)
-        ratio = s0 / (2.0 * math.sin(math.pi * arg))
-        return 1.0 - ratio * ratio
+        tau = np.tan(1.5707963267948966 * ((t - pw * ((t * fn1) % fn - 0.5 * fn)) * (1.0 / fn)))
+        ratio = s0 * (1.0 + tau * tau) / (4.0 * tau)
+        return float(np.log1p(-(ratio * ratio)))
 
-    value = gen_prod(term, 1, (fn - 1) // 2)
+    log_c = gen_sum(term, 1, (fn - 1) // 2)
     if fn % 2 == 0:
-        value *= math.sqrt(term(fn // 2))
-    return value
+        log_c += 0.5 * term(fn // 2)
+    return math.exp(log_c)
 
 
 def test_empty_product(ctx):
@@ -296,3 +308,128 @@ class TestProfile:
             lo, hi = ctx.fibs.fib(n - 1), ctx.fibs.fib(n)
             argmax = max(range(lo + 1, hi + 1), key=values.__getitem__)
             assert argmax == hi - 1
+
+
+def mp_angles(n, t):
+    """(pi z, theta) at (n, t) with exact omega^n and residue: z = omega^n xi_nt,
+    theta = pi t/F_n."""
+    fn = int(mpmath.fib(n))
+    res = t * int(mpmath.fib(n - 1)) % fn
+    return mpmath.pi * MP_OMEGA**n * (mpmath.mpf(res) / fn - mpmath.mpf(1) / 2), mpmath.pi * t / fn
+
+
+def mp_c_term(n, t):
+    """The exact C_n log-term log1p(-(s_n0/s_nt)^2)."""
+    piz, theta = mp_angles(n, t)
+    return mpmath.log1p(-((mpmath.sin(mpmath.pi * MP_OMEGA**n / 2) / mpmath.sin(theta - piz)) ** 2))
+
+
+def mp_b_terms(n, t):
+    """The exact B_n and B*_n log-terms log1p(-alpha - h) and log1p(-h)."""
+    piz, theta = mp_angles(n, t)
+    alpha = 2 * mpmath.sin(piz / 2) ** 2
+    h = mpmath.cot(theta) * mpmath.sin(piz)
+    return mpmath.log1p(-alpha - h), mpmath.log1p(-h)
+
+
+def mp_log_c(n):
+    """log C_n from mpmath: the sum over t < F_n/2 and half the midpoint."""
+    fn = int(mpmath.fib(n))
+    total = mpmath.fsum(mp_c_term(n, t) for t in range(1, (fn - 1) // 2 + 1))
+    if fn % 2 == 0:
+        total += mp_c_term(n, fn // 2) / 2
+    return total
+
+
+class TestFactorBounds:
+    @pytest.mark.parametrize("P, n_max, samples", [(192, 45, 10_000), (64, 30, 1_000)])
+    def test_per_term_charges_cover_mpmath(self, P, n_max, samples):
+        """Random (n, t), with t = 1 and t next to F_n/2 at every level: each
+        computed term is within its own charge.  At 64 bits the omega^n
+        error outweighs float64 rounding."""
+        ctx = make_ctx(P)
+        rng = np.random.default_rng(6)
+        levels = range(4, n_max + 1)
+        per_level = -(-samples // len(levels))
+        with mpmath.workdps(40):
+            for n in levels:
+                fn, fn1 = ctx.fibs.fib(n), ctx.fibs.fib(n - 1)
+                half = (fn - 1) // 2
+                t = np.unique(np.concatenate([[1, half], rng.integers(1, half + 1, per_level - 2)]))
+                res = t * fn1 % fn
+                pw = ctx.omega_pow_float(n)
+                delta = _omega_pow_err(n, ctx)
+                b, gb = _b_terms(t, res, fn, pw, True)
+                bs, gbs = _b_terms(t, res, fn, pw, False)
+                c, gc = _c_terms(t, res, fn, pw, 2.0 * math.sin(math.pi * pw * 0.5))
+                for i, ti in enumerate(t.tolist()):
+                    want_b, want_bs = mp_b_terms(n, ti)
+                    want_c = mp_c_term(n, ti)
+                    assert abs(b[i] - want_b) <= (products._B_RATE + products._B_POW * delta) * gb[i], (n, ti)
+                    assert abs(bs[i] - want_bs) <= (products._B_RATE + products._B_POW * delta) * gbs[i], (n, ti)
+                    assert abs(c[i] - want_c) <= (products._C_RATE + products._C_POW * delta) * gc[i], (n, ti)
+
+    @pytest.mark.parametrize("P, n_max", [(192, 45), (64, 20)])
+    def test_a_bound_covers_mpmath(self, P, n_max):
+        ctx = make_ctx(P)
+        for n in range(1, n_max + 1):
+            log_a, err = _log_a(n, ctx)
+            want = mpmath.log(2 * mpmath.fib(n) * mpmath.sin(mpmath.pi * MP_OMEGA**n))
+            assert abs(log_a - want) <= err, n
+
+    def test_c_against_mpmath(self, ctx):
+        with mpmath.workdps(25):
+            for n in range(3, 21):
+                log_c, err = _log_c(n, ctx)
+                assert abs(log_c - mp_log_c(n)) <= err, n
+
+    def test_c_differences_shrink(self, ctx):
+        c = {n: C_n(n, ctx) for n in range(26, 37)}
+        for n in range(28, 37):
+            assert abs(c[n] - c[n - 1]) < abs(c[n - 1] - c[n - 2]), n
+
+    def test_decomposition_within_both_bounds(self, ctx):
+        for n in range(20, 32):
+            d = decompose(n, ctx)
+            gap = math.log(d.Q) - (math.log(d.A) + math.log(d.B) + math.log(d.C))
+            assert abs(gap) <= d.Q_err + d.abc_err, n
+
+
+class TestQRoutes:
+    def test_direct_up_to_31(self, ctx):
+        res = Q_n(31, ctx)
+        assert res.route == "direct"
+        assert res == sudler_P(ctx.fibs.fib(31), ctx)
+
+    def test_factors_above_31(self, ctx):
+        res = Q_n(32, ctx)
+        assert res.route == "factors"
+        assert res.k == ctx.fibs.fib(32)
+        assert res.err < 1e-12
+
+    def test_factors_follow_the_geometric_extrapolation(self, ctx):
+        """log Q_n - log Q_{n-1} shrinks by -omega per level to first order;
+        the direct values at 28..31 carry their own bounds into the
+        extrapolation."""
+        base = {n: Q_n(n, ctx) for n in range(28, 32)}
+        omega = float(MP_OMEGA)
+        step = base[31].log_value - base[30].log_value
+        for n in range(32, 35):
+            k = n - 31
+            factor = sum((-omega) ** j for j in range(1, k + 1))
+            want = base[31].log_value + step * factor
+            base_err = base[31].err + abs(factor) * (base[31].err + base[30].err)
+            res = Q_n(n, ctx)
+            assert abs(res.log_value - want) <= res.err + base_err + 1e-11, n
+
+    def test_low_precision_names_omega_pow(self):
+        with pytest.raises(PrecisionExhausted, match="omega\\^n"):
+            Q_n(34, make_ctx(64))
+
+    def test_direct_sum_refused_before_kernel_work(self, ctx, monkeypatch):
+        calls = []
+        kernel = products.log2sin_block
+        monkeypatch.setattr(products, "log2sin_block", lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+        with pytest.raises(PrecisionExhausted, match="rounding floor"):
+            sudler_P(ctx.fibs.fib(32), ctx)
+        assert calls == []
