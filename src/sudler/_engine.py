@@ -10,19 +10,24 @@ dropped low bits are fewer than CHUNK + 1 units of 2^-144, charged to the
 angle error.  Each angle is folded into (0, 1/2] by exact negation across
 the limbs before it is rounded to float64, as
 x = u2 2^-48 + (u1 2^-96 + u0 2^-144), so x keeps full *relative*
-precision even at the closest approaches to 0.
+precision even at the closest approaches to 0.  Every limb is at most
+M = 2^48 - 1, so the negation is branch-free: M - v = v ^ M, and the low
+limb's 2^48 - v = (v ^ M) + 1.
 
 ``orbit`` and ``log2sin_block`` also take a sequence of anchors that share
 one term count: each anchor is a row, rows are cut into slabs of at most
 CHUNK angles, and every row comes out bit-identical to its own call, so
 many short sums (the Zeckendorf segments) share one call's fixed cost.
 
-Sums use Neumaier compensation in prefix-sum form (``neumaier``): one
-cumulative sum for the running values, the exact TwoSum error of each
+Orbit sums use Neumaier compensation in prefix-sum form (``neumaier``):
+one cumulative sum for the running values, the exact TwoSum error of each
 step, and a second cumulative sum for the compensation.  Both sums run
 strictly left to right, so the result is bit-identical to the scalar
 recurrence, and a sum carried from chunk to chunk does not depend on where
-the chunks are cut.
+the chunks are cut.  Sums that need no prefixes and whose terms are small
+and charged relative to their size can instead use ``pairwise_sum``, a
+pinned halving tree over one zero-padded chunk, whose error is charged
+as TREE_RATE per unit of sum |term|.
 
 Work is cut into fixed blocks of BLOCK terms.  Blocks are pure functions of
 their start index, so they can be evaluated by any number of workers; the
@@ -46,6 +51,10 @@ BLOCK = 1 << 16
 CHUNK = 1 << 13
 
 _EPS = 2.0**-53
+# A fixed summation tree of depth d = log2 CHUNK = 13 errs by at most
+# gamma_d sum |x| with gamma_d = d u/(1 - d u) < (d + 1) u, u = 2^-53
+# (Higham's bound for pairwise summation, cited from memory).
+TREE_RATE = CHUNK.bit_length() * _EPS
 # The float64 part of log2sin_block's per-term charge, in eps, that holds
 # for any angle: a floor on its bound that no precision lowers.
 TERM_FLOOR = 4.5
@@ -54,9 +63,6 @@ _LIMB = 48
 _LIMB_MASK = (1 << _LIMB) - 1
 _TOP = 3 * _LIMB
 _HALF_LIMB = 1 << (_LIMB - 1)  # 1/2 in the top limb
-# Limb rows are (low, mid, high).  2^144 - r, limb by limb, is
-# (2^48 - r0, M - r1, M - r2) with M = 2^48 - 1: no borrows to propagate.
-_COMPLEMENT = np.array([1 << _LIMB, _LIMB_MASK, _LIMB_MASK], dtype=np.uint64)[:, None, None]
 _SCALE = np.array([2.0**-_TOP, 2.0 ** (-2 * _LIMB), 2.0**-_LIMB])[:, None, None]
 # Rounding u1 2^-96 + u0 2^-144 (at most 2^-48) costs at most 2^-101
 # absolute on top of the relative rounding of x itself.
@@ -120,7 +126,12 @@ def _fold(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r[2] += r[1] >> _LIMB
     r &= _LIMB_MASK
     neg = r[2] >= _HALF_LIMB
-    np.subtract(_COMPLEMENT, r, out=r, where=neg)
+    # Limb rows are (low, mid, high).  2^144 - r, limb by limb, is
+    # (2^48 - r0, M - r1, M - r2) with M = 2^48 - 1: no borrows to
+    # propagate.  As every limb is at most M, M - v = v ^ M and
+    # 2^48 - r0 = (r0 ^ M) + 1, so the complement needs no branch.
+    r ^= neg * np.uint64(_LIMB_MASK)
+    r[0] += neg
     f = r * _SCALE
     return f[2] + (f[1] + f[0]), neg
 
@@ -153,6 +164,22 @@ def neumaier(terms: np.ndarray, s, comp) -> tuple[np.ndarray, np.ndarray]:
     return cur, e[..., 1:]
 
 
+def pairwise_sum(buf: np.ndarray) -> np.ndarray:
+    """Sums along the last axis of buf, whose length is a power of two, by a
+    pinned halving tree: at each level element i gains element i + h, for
+    h = len/2, len/4, ..., 1.  Overwrites buf.
+
+    The order depends only on the length, so a chunk zero-padded to CHUNK
+    (adding 0 is exact) sums bit for bit the same wherever its values came
+    from; for a length up to CHUNK its error is at most TREE_RATE sum |x|.
+    """
+    h = buf.shape[-1]
+    while h > 1:
+        h //= 2
+        np.add(buf[..., :h], buf[..., h : 2 * h], out=buf[..., :h])
+    return buf[..., 0].copy()  # not a view, which would keep all of buf alive
+
+
 class _Snapshots:
     """Collects (i, sum, compensation) at the requested 1-based indices."""
 
@@ -182,14 +209,16 @@ def log2sin_block(
 ) -> tuple:
     """Sum log|2 sin(pi a_i)| for a_i = (a0 + i*w)/2^P, i = 1..count.
 
-    Returns (sum, compensation, err_bound, snapshots) where snapshots holds
-    the arrays (i, sum, compensation) at each index in emit_at (ascending).
-    ``ang_err`` is the caller's absolute bound on the angle error of every
-    a_i; it enters the error bound through the cot-conditioned term.
+    Returns (sum, compensation, err_bound, snapshots, ang_part) where
+    snapshots holds the arrays (i, sum, compensation) at each index in
+    emit_at (ascending).  ``ang_err`` is the caller's absolute bound on the
+    angle error of every a_i; it enters the error bound through the
+    cot-conditioned term, and ang_part is that term alone: err_bound minus
+    ang_part is float64 rounding, which no precision lowers.
 
     With a sequence of anchors a0 (rows), ang_err is a scalar or one bound
-    per row, and sum, compensation and err_bound are arrays with one entry
-    per row; emit_at needs a single anchor.
+    per row, and sum, compensation, err_bound and ang_part are arrays with
+    one entry per row; emit_at needs a single anchor.
     """
     single = isinstance(a0, int)
     anchors = [a0] if single else list(a0)
@@ -197,7 +226,7 @@ def log2sin_block(
         raise ValueError("emit_at needs a single anchor")
     ang_err = np.broadcast_to(np.asarray(ang_err, dtype=np.float64) + orbit_err(P), len(anchors))
     snaps = _Snapshots(emit_at)
-    s, comp, err = np.zeros((3, len(anchors)))
+    s, comp, err, ang = np.zeros((4, len(anchors)))
     for r0, lo, x, _neg in orbit(anchors, w, P, count):
         rows = slice(r0, r0 + len(x))
         sn = np.sin(np.pi * x)
@@ -209,13 +238,14 @@ def log2sin_block(
         # orbit point, cot-conditioned.
         cond = ang_err[rows] * (1.0 / x).sum(axis=1)
         err[rows] += _EPS * (TERM_FLOOR * x.shape[1] + 2.0 * np.abs(term).sum(axis=1)) + cond
+        ang[rows] += cond
         run_s, run_c = neumaier(term, s[rows], comp[rows])
         s[rows], comp[rows] = run_s[:, -1], run_c[:, -1]
         if single:
             snaps.take(lo, run_s[0], run_c[0])
     if single:
-        return float(s[0]), float(comp[0]), float(err[0]), snaps.arrays()
-    return s, comp, err, snaps.arrays()
+        return float(s[0]), float(comp[0]), float(err[0]), snaps.arrays(), float(ang[0])
+    return s, comp, err, snaps.arrays(), ang
 
 
 def cot_block(

@@ -17,12 +17,15 @@ Everything works in the log domain with compensated accumulation; direct
 values are materialized only at the output boundary.  Each product carries
 a rigorous bound on |log error|, enforced against ERR_BUDGET.
 
-P_k and U(T) run on the orbit kernel of ``_engine``.  B_n and C_n run as
-numpy array expressions over chunks of at most CHUNK terms, fed by the
-exact residues t F_{n-1} mod F_n, and sum through the same Neumaier
-primitive ``_engine.neumaier``.  Both need only t < F_n/2: the residues
+P_k and U(T) run on the orbit kernel of ``_engine`` and sum through its
+Neumaier primitive ``_engine.neumaier``.  B_n and C_n run as numpy array
+expressions over chunks of at most CHUNK values of t, fed by the exact
+residues t F_{n-1} mod F_n.  Both need only t < F_n/2: the residues
 satisfy xi_{F_n - t} = -xi_t, so B_n's log-terms pair up and C_n is the
-square root of its full-period product.
+square root of its full-period product.  One walk over those residues
+(``_log_factors``) evaluates any of B_n, B*_n and C_n on the same chunks,
+stacks their log-terms as rows and sums each chunk by the pinned tree
+``_engine.pairwise_sum``, whose error is charged apart from the terms'.
 
 The direct orbit sum charges every term a float64 rounding floor, so its
 bound crosses ERR_BUDGET at F_32 whatever the precision.  The factors'
@@ -42,12 +45,14 @@ import numpy as np
 from ._engine import (
     CHUNK,
     TERM_FLOOR,
+    TREE_RATE,
     block_spans,
     log2sin_block,
     map_blocks,
     merge_partials,
     neumaier,
     orbit,
+    pairwise_sum,
 )
 from .errors import PrecisionExhausted
 from .goldenangle import GoldenCtx
@@ -84,6 +89,9 @@ _HALF_PI = 1.5707963267948966
 # (66.6 eps, 4.12).
 _B_RATE, _B_POW = 40.0 * _EPS, 2.0
 _C_RATE, _C_POW = 80.0 * _EPS, 5.0
+# Bounds on |term| per unit of weight (see _b_terms and _c_terms), which
+# turn the weights into the sum |term| that the chunk tree's error needs.
+_B_TERM, _C_TERM = 1.25, 1.0
 
 _STEPS = np.arange(1, CHUNK + 1, dtype=np.int64)
 
@@ -140,16 +148,23 @@ def _omega_pow_err(n: int, ctx: GoldenCtx) -> float:
     return ctx.fibs.fib(n) * 2.0 ** (-ctx.P) / ctx.omega_pow_float(n)
 
 
+def _refuse(what: str, err: float, rounding: float, bits: float, bits_source: str, rounding_source: str):
+    """Raise PrecisionExhausted for a bound err = rounding + bits over
+    ERR_BUDGET, naming the larger part: rounding, which no precision lowers,
+    or bits, the part that more precision bits lower."""
+    if bits >= rounding:
+        source = f"{bits:.3e} of it is {bits_source}, which more --precision bits lower"
+    else:
+        source = f"{rounding:.3e} of it is {rounding_source}, which no --precision lowers"
+    raise PrecisionExhausted(f"{what} error bound {err:.3e} exceeds budget {ERR_BUDGET:.1e}: {source}")
+
+
 def _charged(what: str, rounding: float, omega_pow: float) -> float:
     """The |log err| bound rounding + omega_pow of one factor; raises
     PrecisionExhausted past ERR_BUDGET, naming the larger part."""
     err = rounding + omega_pow
     if err > ERR_BUDGET:
-        if omega_pow >= rounding:
-            source = f"{omega_pow:.3e} of it is the P-bit omega^n error, which more --precision bits lower"
-        else:
-            source = f"{rounding:.3e} of it is float64 rounding, which no --precision lowers"
-        raise PrecisionExhausted(f"{what} error bound {err:.3e} exceeds budget {ERR_BUDGET:.1e}: {source}")
+        _refuse(what, err, rounding, omega_pow, "the P-bit omega^n error", "float64 rounding")
     return err
 
 
@@ -167,7 +182,9 @@ def log_abs_sin_product(
     mantissas (rows) and a scalar or one alpha_err per row, it returns a
     list of (log, err), one per row, from one kernel call per block.
     Raises PrecisionExhausted when a rigorous error bound crosses ERR_BUDGET,
-    before any kernel work when the bound's float64 floor alone does.
+    before any kernel work when the bound's float64 floor alone does, and
+    otherwise naming the larger part of the bound: the log terms' float64
+    rounding or the P-bit angle term.
     """
     single = isinstance(alpha_mantissa, int)
     alphas = [alpha_mantissa] if single else list(alpha_mantissa)
@@ -190,17 +207,16 @@ def log_abs_sin_product(
     ]
     blocks = map_blocks(log2sin_block, jobs, workers)
     out = []
-    # each row holds one anchor's (sum, compensation, err), block by block
-    for row in zip(*(zip(s.tolist(), c.tolist(), e.tolist()) for s, c, e, _sn in blocks)):
-        err = math.fsum(e for _s, _c, e in row)
+    # each row holds one anchor's (sum, compensation, err, angle part), block by block
+    for row in zip(*(zip(s.tolist(), c.tolist(), e.tolist(), a.tolist()) for s, c, e, _sn, a in blocks)):
+        err = math.fsum(e for _s, _c, e, _a in row)
         if err > ERR_BUDGET:
-            raise PrecisionExhausted(
-                f"log-product error bound {err:.3e} exceeds budget {ERR_BUDGET:.1e} "
-                f"at count={count}, P={P}: its float64 rounding floor {floor:.3e} fits; the rest is the "
-                f"log terms' own rounding, which no --precision lowers, and the P-bit angle term, "
-                f"which more bits do"
+            ang = math.fsum(a for _s, _c, _e, a in row)
+            _refuse(
+                f"log-product at count={count}, P={P}", err, err - ang, ang,
+                "the P-bit angle term", "the log terms' float64 rounding",
             )
-        out.append((merge_partials([(s, c) for s, c, _e in row]), err))
+        out.append((merge_partials([(s, c) for s, c, _e, _a in row]), err))
     return out[0] if single else out
 
 
@@ -249,10 +265,9 @@ def Q_n(n: int, ctx: GoldenCtx, workers: int = 1) -> ProductResult:
     fn = ctx.fibs.fib(n)
     if _direct_floor(fn) <= ERR_BUDGET:
         return sudler_P(fn, ctx, workers=workers)
-    # A first: at low precision its omega^n charge refuses before the long passes
+    # A first: at low precision its omega^n charge refuses before the long walk
     log_a, err_a = _log_a(n, ctx)
-    log_c, err_c = _log_c(n, ctx)
-    log_b, err_b = _log_perturbation_product(n, ctx, True, workers)
+    (log_b, err_b), (log_c, err_c) = _log_factors(n, ctx, ("B", "C"), workers)
     log_q = math.fsum((log_a, log_b, log_c))
     err = math.fsum((err_a, err_b, err_c)) + _EPS * abs(log_q)
     if err > ERR_BUDGET:
@@ -291,26 +306,48 @@ def _residue_chunks(start: int, count: int, fn1: int, fn: int) -> Iterator[tuple
     Each chunk anchors exactly at (lo F_{n-1}) mod F_n in Python ints and
     adds the steps i F_{n-1} mod F_n, i <= CHUNK, taken once in int64 (no
     product exceeds CHUNK F_n), so one conditional subtraction of F_n
-    reduces the sum.
+    reduces the sum.  It is branch-free: seen as uint64, r - F_n wraps
+    above r exactly when r < F_n, so min(r, r - F_n) is r mod F_n.
     """
     steps = _STEPS * fn1 % fn
     for lo in range(start, start + count, CHUNK):
         m = min(CHUNK, start + count - lo)
         res = steps[:m] + (lo * fn1) % fn
-        np.subtract(res, fn, out=res, where=res >= fn)
+        r = res.view(np.uint64)
+        np.minimum(r, r - np.uint64(fn), out=r)
         yield lo + _STEPS[:m], res
 
 
-def _sum_terms(chunks, terms) -> tuple[float, float, float]:
-    """Neumaier (sum, compensation) of the log-terms and the plain sum of
-    the weights that terms(t, res) returns, over the residue chunks."""
-    s = comp = weight = 0.0
-    for t, res in chunks:
-        term, g = terms(t, res)
-        run_s, run_c = neumaier(term, s, comp)
-        s, comp = run_s[-1], run_c[-1]
-        weight += g.sum()
-    return float(s), float(comp), float(weight)
+def _walk_half(n: int, ctx: GoldenCtx, terms: list, workers: int) -> tuple[list[float], list[float]]:
+    """Per term function of (t, res), the sum of its log-terms and the sum
+    of its weights over t < F_n/2, all from one walk over the residues.
+
+    Each chunk's log-terms are stacked as rows, zero-padded to CHUNK and
+    summed by ``pairwise_sum``, each row within TREE_RATE sum |term|; one
+    call sums all chunks of a block.  The walk keeps the fixed block_spans
+    partition, and every row's chunk sums merge by one math.fsum in index
+    order, so ``workers`` changes no bit.
+    """
+    fn = ctx.fibs.fib(n)
+    fn1 = ctx.fibs.fib(n - 1)
+    half = (fn - 1) // 2
+    if half <= 0:
+        return [0.0] * len(terms), [0.0] * len(terms)
+
+    def block(t0: int, cnt: int) -> tuple[np.ndarray, np.ndarray]:
+        buf = np.zeros((len(terms), -(-cnt // CHUNK), CHUNK))
+        weights = np.zeros(len(terms))
+        for j, (t, res) in enumerate(_residue_chunks(t0, cnt, fn1, fn)):
+            for row, f in enumerate(terms):
+                buf[row, j, : len(t)], g = f(t, res)
+                weights[row] += g.sum()
+        return pairwise_sum(buf), weights
+
+    results = map_blocks(block, block_spans(half), workers)
+    chunk_sums = np.concatenate([sums for sums, _w in results], axis=1)
+    log_sums = [math.fsum(row) for row in chunk_sums.tolist()]
+    weights = [math.fsum(col) for col in zip(*(w.tolist() for _s, w in results))]
+    return log_sums, weights
 
 
 def _b_terms(
@@ -339,7 +376,8 @@ def _b_terms(
       tau + cot costs 12.8u + 0.32 delta; times 2 tau: 21.9u + 1.33 delta;
     - 1 + tau^2 (tau^2 < 0.014): 1.3u; the quotient w: 24.2u + 1.36 delta;
     - log1p(w): |dw|/(1 + w) from w, one ulp of its own (2u |term|), and
-      3u |term| for the Neumaier block sum and the fsum merge.  As
+      3u |term| for the fsum merge of the chunk sums (the chunk tree itself
+      is charged apart, TREE_RATE sum |term|).  As
       |h| <= F_n omega^n/(2t) < 0.23 and alpha < 0.03 keep |w| < 1/4,
       |term| <= 1.25 |w|/(1 + w).
     In all (30.5u + 1.36 delta) |w|/(1 + w); B*_n's w costs less.
@@ -351,33 +389,52 @@ def _b_terms(
     return np.log1p(w), np.abs(w) / (1.0 + w)
 
 
+def _log_factors(
+    n: int, ctx: GoldenCtx, which: tuple[str, ...], workers: int = 1
+) -> list[tuple[float, float]]:
+    """(log, |log err| bound) of each factor named in which ("B" for B_n,
+    "B*" for B*_n, "C" for C_n), all from one walk over t < F_n/2.
+
+    xi_{F_n - t} = -xi_t flips h and keeps alpha, so B's term(F_n - t) =
+    term(t), and an even F_n's midpoint has xi = 0, h = 0 and term 0: log B
+    is twice the sum over t < F_n/2.  C's log is that sum plus, for even
+    F_n, half the self-paired midpoint t = F_n/2.  Each bound adds the
+    chunk tree's TREE_RATE sum |term| to the terms' own charges.
+    """
+    fn = ctx.fibs.fib(n)
+    pw = ctx.omega_pow_float(n)
+    s0 = 2.0 * math.sin(math.pi * pw * 0.5)
+    term_fns = {
+        "B": lambda t, res: _b_terms(t, res, fn, pw, True),
+        "B*": lambda t, res: _b_terms(t, res, fn, pw, False),
+        "C": lambda t, res: _c_terms(t, res, fn, pw, s0),
+    }
+    sums, weights = _walk_half(n, ctx, [term_fns[f] for f in which], workers)
+    delta = _omega_pow_err(n, ctx)
+    out = []
+    for f, log_value, weight in zip(which, sums, weights):
+        if f == "C":
+            if fn % 2 == 0:
+                mid = next(_residue_chunks(fn // 2 - 1, 1, ctx.fibs.fib(n - 1), fn))
+                term, g = _c_terms(*mid, fn, pw, s0)
+                log_value += 0.5 * float(term[0])
+                weight += 0.5 * float(g[0])
+            rounding = (_C_RATE + _C_TERM * TREE_RATE) * weight
+            out.append((log_value, _charged("C_n", rounding, _C_POW * delta * weight)))
+        else:
+            log_value, weight = 2.0 * log_value, 2.0 * weight
+            rounding = (_B_RATE + _B_TERM * TREE_RATE) * weight
+            out.append((log_value, _charged(f + "_n", rounding, _B_POW * delta * weight)))
+    return out
+
+
 def _log_perturbation_product(
     n: int, ctx: GoldenCtx, include_quadratic: bool, workers: int
 ) -> tuple[float, float]:
     """(log, |log err| bound) of prod_{t=1}^{F_n-1} (1 - alpha_nt - h_nt), the
     exact per-term form of s_nt / (2 sin(pi t/F_n)); omitting the quadratic
-    alpha_nt = 2 sin^2(pi omega^n xi_nt / 2) gives the comparison product.
-
-    xi_{F_n - t} = -xi_t flips h and keeps alpha, so term(F_n - t) =
-    term(t), and an even F_n's midpoint has xi = 0, h = 0 and term 0: the
-    log is twice the sum over t < F_n/2.
-    """
-    fn = ctx.fibs.fib(n)
-    fn1 = ctx.fibs.fib(n - 1)
-    half = (fn - 1) // 2
-    if half <= 0:
-        return 0.0, 0.0
-    pw = ctx.omega_pow_float(n)
-
-    def block(t0: int, cnt: int) -> tuple[float, float, float]:
-        chunks = _residue_chunks(t0, cnt, fn1, fn)
-        return _sum_terms(chunks, lambda t, res: _b_terms(t, res, fn, pw, include_quadratic))
-
-    results = map_blocks(block, block_spans(half), workers)
-    log_value = 2.0 * merge_partials([(s, c) for s, c, _g in results])
-    weight = 2.0 * math.fsum(g for _s, _c, g in results)
-    what = "B_n" if include_quadratic else "B*_n"
-    return log_value, _charged(what, _B_RATE * weight, _B_POW * _omega_pow_err(n, ctx) * weight)
+    alpha_nt = 2 sin^2(pi omega^n xi_nt / 2) gives the comparison product."""
+    return _log_factors(n, ctx, ("B" if include_quadratic else "B*",), workers)[0]
 
 
 def B_n(n: int, ctx: GoldenCtx, workers: int = 1) -> float:
@@ -418,7 +475,8 @@ def _c_terms(
       plus 2u: 10.9u + 0.53 delta; 1 + tau^2 (tau <= 1): 12.4u + 0.53 delta;
     - ratio: 30.3u + 2.06 delta; q = ratio^2: 61.6u + 4.12 delta;
     - log1p(-q): q/(1 - q) times q's relative error, one ulp of its own and
-      3u for the sums, on |term| <= q/(1 - q).
+      3u for the merge and the midpoint (the chunk tree is charged apart),
+      on |term| <= q/(1 - q).
     In all (66.6u + 4.12 delta) q/(1 - q).
     """
     tau = np.tan(_HALF_PI * ((t - pw * (res - 0.5 * fn)) * (1.0 / fn)))
@@ -428,24 +486,6 @@ def _c_terms(
         raise ValueError(f"C_n requires positive terms; s_n0/s_nt = {ratio[bad[0]]} at t = {t[bad[0]]}")
     q = ratio * ratio
     return np.log1p(-q), q / (1.0 - q)
-
-
-def _log_c(n: int, ctx: GoldenCtx) -> tuple[float, float]:
-    """(log C_n, |log err| bound): the sum over t < F_n/2 plus, for even
-    F_n, half the self-paired midpoint t = F_n/2."""
-    fn = ctx.fibs.fib(n)
-    fn1 = ctx.fibs.fib(n - 1)
-    pw = ctx.omega_pow_float(n)
-    s0 = 2.0 * math.sin(math.pi * pw * 0.5)
-    s, comp, weight = _sum_terms(
-        _residue_chunks(0, (fn - 1) // 2, fn1, fn), lambda t, res: _c_terms(t, res, fn, pw, s0)
-    )
-    log_c = s + comp
-    if fn % 2 == 0:
-        term, g = _c_terms(*next(_residue_chunks(fn // 2 - 1, 1, fn1, fn)), fn, pw, s0)
-        log_c += 0.5 * float(term[0])
-        weight += 0.5 * float(g[0])
-    return log_c, _charged("C_n", _C_RATE * weight, _C_POW * _omega_pow_err(n, ctx) * weight)
 
 
 def C_n(n: int, ctx: GoldenCtx) -> float:
@@ -459,7 +499,7 @@ def C_n(n: int, ctx: GoldenCtx) -> float:
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
-    return math.exp(_log_c(n, ctx)[0])
+    return math.exp(_log_factors(n, ctx, ("C",))[0][0])
 
 
 def u_t(t: int, ctx: GoldenCtx) -> float:
@@ -503,8 +543,7 @@ def decompose(n: int, ctx: GoldenCtx, workers: int = 1) -> Decomposition:
         raise ValueError("level n must be >= 1")
     q = sudler_P(ctx.fibs.fib(n), ctx, workers=workers)
     err_a = _log_a(n, ctx)[1]
-    log_b, err_b = _log_perturbation_product(n, ctx, True, workers)
-    log_c, err_c = _log_c(n, ctx)
+    (log_b, err_b), (log_c, err_c) = _log_factors(n, ctx, ("B", "C"), workers)
     a, b, c = A_n(n, ctx), math.exp(log_b), math.exp(log_c)
     return Decomposition(
         n=n, A=a, B=b, C=c, Q=q.value, residual=q.value - a * b * c,
@@ -549,7 +588,7 @@ def _log_prefix_iter(
         group = spans[idx : idx + max(workers, 1)]
         idx += len(group)
         results = map_blocks(job, group, workers)
-        for (start, _cnt), (s, c, e, snaps) in zip(group, results):
+        for (start, _cnt), (s, c, e, snaps, _ang) in zip(group, results):
             err_total += e
             if err_total > ERR_BUDGET:
                 raise PrecisionExhausted(

@@ -1,6 +1,7 @@
 """The orbit kernel and the cumsum-form Neumaier primitive."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,18 @@ import numpy as np
 import pytest
 
 from sudler import PrecisionExhausted, make_ctx
-from sudler._engine import CHUNK, cot_block, log2sin_block, neumaier, orbit, orbit_err
+from sudler._engine import (
+    CHUNK,
+    TREE_RATE,
+    _fold,
+    _top_limbs,
+    cot_block,
+    log2sin_block,
+    neumaier,
+    orbit,
+    orbit_err,
+    pairwise_sum,
+)
 from sudler.fibcore import fib
 from sudler.products import log_abs_sin_product
 
@@ -93,6 +105,56 @@ class TestOrbitAngles:
         assert min_u == min(u for u, _neg in exact_folds(0, w, P, count))
 
 
+M = (1 << 48) - 1
+MASKED_COMPLEMENT = np.array([1 << 48, M, M], dtype=np.uint64)[:, None, None]
+SCALE = np.array([2.0**-144, 2.0**-96, 2.0**-48])[:, None, None]
+
+
+def masked_fold(r):
+    """The fold as a masked subtraction of the limbs from 2^144, kept as the
+    reference for the branch-free complement."""
+    r[1] += r[0] >> 48
+    r[2] += r[1] >> 48
+    r &= M
+    neg = r[2] >= 1 << 47
+    np.subtract(MASKED_COMPLEMENT, r, out=r, where=neg)
+    f = r * SCALE
+    return f[2] + (f[1] + f[0]), neg
+
+
+def assert_folds_match(r):
+    want_x, want_neg = masked_fold(r.copy())
+    got_x, got_neg = _fold(r.copy())
+    assert got_neg.tolist() == want_neg.tolist()
+    assert bits(got_x) == bits(want_x)
+
+
+class TestFold:
+    def test_random_limb_sums(self, pctx):
+        """The unnormalised limb sums anchor + i*w that orbit hands the fold,
+        for random anchors at every precision."""
+        P, w = pctx.P, pctx.omega.mantissa
+        rng = random.Random(8)
+        iw = np.arange(1, CHUNK + 1, dtype=np.uint64) * _top_limbs([w], P)
+        for _ in range(4):
+            assert_folds_match(iw + _top_limbs([rng.getrandbits(P)], P))
+
+    def test_edge_rows(self):
+        half = 1 << 47
+        rows = [
+            (0, 0, half),  # exactly 1/2
+            (1 << 48, M, half - 1),  # 1/2 again, before its carries
+            (0, 7, half),  # low limb 0 on the top limb 2^47: complement limb 2^48
+            (0, 0, M),
+            (0, 5, half + 3),
+            (M, M, half - 1),  # the largest angle below 1/2
+            (M, M, M),  # one unit below 1: folds to 2^-144
+            (M - 2, M, M),
+            (1, 0, 0),
+        ]
+        assert_folds_match(np.array(rows, dtype=np.uint64).T[:, None, :])
+
+
 def scalar_neumaier(terms, s=0.0, comp=0.0):
     """The scalar recurrence the primitive replaces, kept as the reference."""
     out_s, out_c = [], []
@@ -153,7 +215,7 @@ class TestLog2SinBlock:
         P, w = pctx.P, pctx.omega.mantissa
         for start, count in ((0, 3000), (fib(25) - 1500, 3000)):
             a0 = (start * w) % (1 << P)
-            s, c, err, _snaps = log2sin_block(a0, w, P, count, 0.0)
+            s, c, err, _snaps, _ang = log2sin_block(a0, w, P, count, 0.0)
             assert abs((s + c) - scalar_log2sin(a0, w, P, count)) <= err
 
     def test_prefix_snapshots_equal_direct_sums(self, ctx):
@@ -162,10 +224,10 @@ class TestLog2SinBlock:
         P, w = ctx.P, ctx.omega.mantissa
         a0 = (fib(20) * w) % (1 << P)
         ks = [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 17, 3 * CHUNK]
-        _s, _c, _e, (idx, snap_s, snap_c) = log2sin_block(a0, w, P, 3 * CHUNK, 0.0, emit_at=ks)
+        _s, _c, _e, (idx, snap_s, snap_c), _ang = log2sin_block(a0, w, P, 3 * CHUNK, 0.0, emit_at=ks)
         assert idx.tolist() == ks
         for k, s_at, c_at in zip(ks, snap_s.tolist(), snap_c.tolist()):
-            s, c, _e, _snaps = log2sin_block(a0, w, P, k, 0.0)
+            s, c, _e, _snaps, _ang = log2sin_block(a0, w, P, k, 0.0)
             assert (s, c) == (s_at, c_at)
 
     def test_dropped_bits_are_charged(self):
@@ -175,7 +237,7 @@ class TestLog2SinBlock:
         P = 512
         w, one = make_ctx(P).omega.mantissa, 1 << P
         u = (20_001 << (P - 144)) - 1
-        term, _c, err, _snaps = log2sin_block((u - w) % one, w, P, 1, 0.0)
+        term, _c, err, _snaps, _ang = log2sin_block((u - w) % one, w, P, 1, 0.0)
         with mpmath.workdps(40):
             want = float(mpmath.log(2 * mpmath.sin(mpmath.pi * mpmath.mpf(u) / one)))
         assert 1e-6 < abs(term - want) <= err
@@ -183,11 +245,34 @@ class TestLog2SinBlock:
     def test_single_call_of_2_20_terms(self, ctx):
         P, w = ctx.P, ctx.omega.mantissa
         count = 1 << 20
-        s, c, err, snaps = log2sin_block(0, w, P, count, (count + 1) * 2.0**-P)
+        s, c, err, snaps, _ang = log2sin_block(0, w, P, count, (count + 1) * 2.0**-P)
         assert len(snaps[0]) == 0
         blockwise, block_err = log_abs_sin_product(count, ctx)
         assert math.isfinite(s + c) and 0.0 < err < 1e-9
         assert abs((s + c) - blockwise) <= err + block_err
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("m", [CHUNK, CHUNK - 1, 1000, 1])
+    def test_within_the_tree_charge_of_fsum(self, m):
+        """Full and zero-padded partial chunks, with mixed magnitudes and
+        signs, two rows at a time."""
+        rng = np.random.default_rng(m)
+        terms = rng.standard_normal((2, m)) * 10.0 ** rng.integers(-8, 8, (2, m))
+        terms[1, 1::2] = -terms[1, ::2][: m // 2] * (1.0 + 1e-9)
+        buf = np.zeros((2, CHUNK))
+        buf[:, :m] = terms
+        got = pairwise_sum(buf)
+        for row, total in zip(terms.tolist(), got.tolist()):
+            assert abs(total - math.fsum(row)) <= TREE_RATE * math.fsum(map(abs, row))
+
+    def test_rows_and_chunks_are_independent(self):
+        """A row summed alone, or among other rows and chunks, gives the same bits."""
+        x = np.random.default_rng(3).standard_normal((3, 4, CHUNK))
+        together = pairwise_sum(x.copy())
+        for row in range(3):
+            for chunk in range(4):
+                assert bits([together[row, chunk]]) == bits([pairwise_sum(x[row, chunk].copy())])
 
 
 class TestRows:
@@ -200,14 +285,15 @@ class TestRows:
         P, w, one = ctx.P, ctx.omega.mantissa, 1 << ctx.P
         anchors = [(st * w) % one for st in starts]
         ang_errs = (np.random.default_rng(seed).random(len(starts)) * 1e-12).tolist()
-        s, c, err, snaps = log2sin_block(anchors, w, P, count, ang_errs)
-        assert s.shape == c.shape == err.shape == (len(starts),)
+        s, c, err, snaps, ang = log2sin_block(anchors, w, P, count, ang_errs)
+        assert s.shape == c.shape == err.shape == ang.shape == (len(starts),)
         assert len(snaps[0]) == 0
-        want = [log2sin_block(a, w, P, count, e)[:3] for a, e in zip(anchors, ang_errs)]
-        want_s, want_c, want_err = zip(*want)
+        want = [log2sin_block(a, w, P, count, e) for a, e in zip(anchors, ang_errs)]
+        want_s, want_c, want_err, _snaps, want_ang = zip(*want)
         assert bits(s) == bits(want_s)
         assert bits(c) == bits(want_c)
         assert bits(err) == bits(want_err)
+        assert bits(ang) == bits(want_ang)
 
     def test_rows_crossing_a_chunk(self, pctx):
         self.assert_rows_match(pctx, [0, fib(20), 987_654_321], CHUNK + 5, 1)
@@ -261,7 +347,7 @@ class TestRigour:
             for r in rs:
                 a = (r * w) % one
                 u = min(a, one - a)
-                term, _c, err, _snaps = log2sin_block(((r - 1) * w) % one, w, P, 1, 0.0)
+                term, _c, err, _snaps, _ang = log2sin_block(((r - 1) * w) % one, w, P, 1, 0.0)
                 assert err <= (4.5 + 2.0 * abs(term)) * EPS * (1 + 1e-12) + orbit_err(P) * one / u
                 want = mpmath.log(2 * mpmath.sin(mpmath.pi * mpmath.mpf(u) / one))
                 dev = abs(term - float(want))

@@ -24,12 +24,11 @@ from sudler import (
     sudler_P_rational,
 )
 from sudler._engine import CHUNK
-from sudler.goldenangle import gen_sum
 from sudler.products import (
     _b_terms,
     _c_terms,
     _log_a,
-    _log_c,
+    _log_factors,
     _log_perturbation_product,
     _omega_pow_err,
     _residue_chunks,
@@ -43,7 +42,9 @@ EPS = 2.0**-53
 
 def scalar_log_perturbation(n, ctx, include_quadratic):
     """Oracle: the per-term scalar loop over t = 1..F_n - 1 with a Neumaier
-    sum and an exactly summed error charge, for the vectorised B_n block."""
+    sum and an exactly summed error charge, for the vectorised B_n block.
+    The charge holds the terms' own 40 eps and 2 delta per unit of weight,
+    and the chunk tree's 14 eps per unit of |term| <= 1.25 weight."""
     fn = ctx.fibs.fib(n)
     fn1 = ctx.fibs.fib(n - 1)
     pw = ctx.omega_pow_float(n)
@@ -61,7 +62,7 @@ def scalar_log_perturbation(n, ctx, include_quadratic):
         h = sgn * (math.cos(u) / math.sin(u)) * (2.0 * s2 * c2)
         w_ = -alpha - h
         term = math.log1p(w_)
-        errs.append((40.0 * EPS + 2.0 * fn * 2.0**-ctx.P / pw) * abs(w_) / (1.0 + w_))
+        errs.append((40.0 * EPS + 1.25 * 14.0 * EPS + 2.0 * fn * 2.0**-ctx.P / pw) * abs(w_) / (1.0 + w_))
         t2 = s_acc + term
         if abs(s_acc) >= abs(term):
             comp += (s_acc - t2) + term
@@ -71,20 +72,53 @@ def scalar_log_perturbation(n, ctx, include_quadratic):
     return s_acc + comp, math.fsum(errs)
 
 
-def scalar_c_n(n, ctx):
-    """Oracle: C_n as exp of gen_sum over the scalar per-t log1p term, with
-    half the midpoint term for even F_n."""
+def scalar_tree_sum(values):
+    """A chunk summed by the pinned halving tree, one scalar at a time: the
+    chunk is zero-padded to CHUNK and element i gains element i + h for
+    h = CHUNK/2, ..., 1."""
+    buf = list(values) + [0.0] * (CHUNK - len(values))
+    h = CHUNK
+    while h > 1:
+        h //= 2
+        buf[:h] = [a + b for a, b in zip(buf[:h], buf[h : 2 * h])]
+    return buf[0]
+
+
+def scalar_c_q(n, ctx, t):
+    """C_n's q = (s_n0/s_nt)^2 at one t, by the scalar form of its array
+    expression."""
     fn = ctx.fibs.fib(n)
-    fn1 = ctx.fibs.fib(n - 1)
     pw = ctx.omega_pow_float(n)
     s0 = 2.0 * math.sin(math.pi * pw * 0.5)
+    tau = np.tan(1.5707963267948966 * ((t - pw * ((t * ctx.fibs.fib(n - 1)) % fn - 0.5 * fn)) * (1.0 / fn)))
+    ratio = s0 * (1.0 + tau * tau) / (4.0 * tau)
+    return ratio * ratio
+
+
+def scalar_c_charge(n, ctx):
+    """Oracle: C_n's bound, the terms' 80 eps and 5 delta per unit of
+    weight q/(1 - q) and the chunk tree's 14 eps per unit of
+    |term| <= weight, over t < F_n/2 and half the midpoint."""
+    fn = ctx.fibs.fib(n)
+    weights = [q / (1.0 - q) for q in (scalar_c_q(n, ctx, t) for t in range(1, (fn - 1) // 2 + 1))]
+    if fn % 2 == 0:
+        q = scalar_c_q(n, ctx, fn // 2)
+        weights.append(0.5 * q / (1.0 - q))
+    delta = fn * 2.0**-ctx.P / ctx.omega_pow_float(n)
+    return (80.0 * EPS + 14.0 * EPS + 5.0 * delta) * math.fsum(weights)
+
+
+def scalar_c_n(n, ctx):
+    """Oracle: C_n as exp of the scalar per-t log1p terms, each chunk of
+    CHUNK values of t summed in the pinned tree order and the chunk sums by
+    fsum, with half the midpoint term for even F_n."""
+    fn = ctx.fibs.fib(n)
 
     def term(t):
-        tau = np.tan(1.5707963267948966 * ((t - pw * ((t * fn1) % fn - 0.5 * fn)) * (1.0 / fn)))
-        ratio = s0 * (1.0 + tau * tau) / (4.0 * tau)
-        return float(np.log1p(-(ratio * ratio)))
+        return float(np.log1p(-scalar_c_q(n, ctx, t)))
 
-    log_c = gen_sum(term, 1, (fn - 1) // 2)
+    terms = [term(t) for t in range(1, (fn - 1) // 2 + 1)]
+    log_c = math.fsum(scalar_tree_sum(terms[lo : lo + CHUNK]) for lo in range(0, len(terms), CHUNK))
     if fn % 2 == 0:
         log_c += 0.5 * term(fn // 2)
     return math.exp(log_c)
@@ -117,6 +151,19 @@ def test_err_budget_enforced():
     ctx64 = make_ctx(64)
     with pytest.raises(PrecisionExhausted):
         sudler_P(200_000, ctx64)
+
+
+def test_exhausted_bound_names_the_angle_term():
+    with pytest.raises(PrecisionExhausted, match="the P-bit angle term, which more --precision bits lower"):
+        sudler_P(200_000, make_ctx(64))
+
+
+def test_exhausted_bound_names_float64_rounding(ctx):
+    """At 192 bits the angle term is negligible, and the log terms' own
+    rounding crosses the budget although the 4.5 eps floor fits."""
+    assert products._direct_floor(1_700_000) < products.ERR_BUDGET
+    with pytest.raises(PrecisionExhausted, match="the log terms' float64 rounding, which no --precision lowers"):
+        sudler_P(1_700_000, ctx)
 
 
 class TestRational:
@@ -212,7 +259,9 @@ class TestDecomposition:
 
 
 class TestVectorisedFactors:
-    """F_25 - 1 = 75024 terms cross both a CHUNK and a BLOCK boundary."""
+    """The half-period walk covers (F_n - 1)/2 values of t: 37511 at n = 24
+    and 37512 at n = 25 cross a CHUNK boundary, 98208 at n = 27 a BLOCK
+    boundary too."""
 
     @pytest.mark.parametrize("include_quadratic", [True, False])
     def test_b_block_matches_scalar_loop(self, ctx, include_quadratic):
@@ -225,9 +274,37 @@ class TestVectorisedFactors:
         assert B_n(25, ctx, workers=1) == B_n(25, ctx, workers=2)
         assert B_star(25, ctx, workers=1) == B_star(25, ctx, workers=2)
 
-    @pytest.mark.parametrize("n", [24, 25])  # even and odd F_n
+    def test_workers_bitwise_across_blocks(self, ctx):
+        assert B_n(27, ctx, workers=1) == B_n(27, ctx, workers=2)
+        assert B_star(27, ctx, workers=1) == B_star(27, ctx, workers=2)
+        assert _log_factors(27, ctx, ("C",), 1) == _log_factors(27, ctx, ("C",), 2)
+        assert Q_n(33, ctx, workers=1) == Q_n(33, ctx, workers=2)
+
+    @pytest.mark.parametrize("n", [33, 34, 35])
+    def test_factor_route_equals_single_factors(self, ctx, n):
+        """Q_n's one walk for B_n and C_n gives the bits of their own walks."""
+        res = Q_n(n, ctx)
+        assert res.route == "factors"
+        log_b = _log_perturbation_product(n, ctx, True, 1)[0]
+        log_c = _log_factors(n, ctx, ("C",))[0][0]
+        log_q = math.fsum((_log_a(n, ctx)[0], log_b, log_c))
+        assert (res.log_value, res.value) == (log_q, math.exp(log_q))
+
+    @pytest.mark.parametrize("n", [24, 25])
+    def test_decompose_equals_single_factors(self, ctx, n):
+        d = decompose(n, ctx)
+        assert (d.B, d.C) == (B_n(n, ctx), C_n(n, ctx))
+        err_c = _log_factors(n, ctx, ("C",))[0][1]
+        assert (d.B_err, d.C_err) == (_log_perturbation_product(n, ctx, True, 1)[1], err_c)
+
+    @pytest.mark.parametrize("n", [24, 25, 27])  # even and odd F_n
     def test_c_matches_scalar_gen_prod_bitwise(self, ctx, n):
         assert C_n(n, ctx) == scalar_c_n(n, ctx)
+
+    @pytest.mark.parametrize("n", [24, 25])
+    def test_c_charge_matches_scalar_sum(self, ctx, n):
+        want = scalar_c_charge(n, ctx)
+        assert abs(_log_factors(n, ctx, ("C",))[0][1] - want) <= 1e-12 * want
 
     def test_c_rejects_nonpositive_terms(self, ctx):
         # omega^n replaced by 0.9 makes s_n0 exceed s_n1, so 1 - (s_n0/s_n1)^2 < 0
@@ -380,7 +457,7 @@ class TestFactorBounds:
     def test_c_against_mpmath(self, ctx):
         with mpmath.workdps(25):
             for n in range(3, 21):
-                log_c, err = _log_c(n, ctx)
+                (log_c, err), = _log_factors(n, ctx, ("C",))
                 assert abs(log_c - mp_log_c(n)) <= err, n
 
     def test_c_differences_shrink(self, ctx):
