@@ -29,10 +29,11 @@ and charged relative to their size can instead use ``pairwise_sum``, a
 pinned halving tree over one zero-padded chunk, whose error is charged
 as TREE_RATE per unit of sum |term|.
 
-Work is cut into fixed blocks of BLOCK terms.  Blocks are pure functions of
-their start index, so they can be evaluated by any number of workers; the
+Work is cut into fixed blocks of BLOCK terms, evaluated one after another
+in index order.  Blocks are pure functions of their start index, and the
 merge is math.fsum over the per-block (sum, compensation) pairs in index
-order, which makes every result bit-identical for any worker count.
+order, so a result depends only on the partition, never on how the blocks
+were scheduled.
 
 Per-term rigorous error bounds are accumulated alongside every sum.
 """
@@ -40,7 +41,6 @@ Per-term rigorous error bounds are accumulated alongside every sum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -291,16 +291,9 @@ def cot_block(
 
 
 def map_blocks(fn, jobs: Iterable[tuple], workers: int = 1) -> list:
-    """Evaluate fn(*job) for each job, in order, optionally on a thread pool.
-
-    Results always come back in job order, so the downstream fsum merge is
-    independent of the worker count.
-    """
-    jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: fn(*job), jobs))
+    """[fn(*job) for job in jobs], in job order.  ``workers`` is accepted
+    and ignored: threads were measured at no speed-up over one."""
+    return [fn(*job) for job in jobs]
 
 
 def merge_partials(parts: Sequence[tuple[float, float]]) -> float:

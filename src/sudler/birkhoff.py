@@ -225,7 +225,7 @@ class CotSum(NamedTuple):
     normalized: float
 
 
-def cot_sum(n: int, ctx: GoldenCtx, workers: int = 1) -> CotSum:
+def cot_sum(n: int, ctx: GoldenCtx) -> CotSum:
     """sum_{r=1}^{F_n} cot(pi r omega) and the normalized omega^n * sum.
 
     The three-distance minimum (distance omega^n at r = F_n) is asserted
@@ -233,7 +233,7 @@ def cot_sum(n: int, ctx: GoldenCtx, workers: int = 1) -> CotSum:
     """
     if n < 2:
         raise ValueError("level n must be >= 2")
-    value, _err, min_u = _cot_sum_raw(ctx.fibs.fib(n), ctx, workers, square=False)
+    value, _err, min_u = _cot_sum_raw(ctx.fibs.fib(n), ctx, square=False)
     pw = ctx.omega_pow_float(n)
     if min_u * 2.0 ** (-ctx.P) < 0.5 * pw:
         raise PrecisionExhausted(
@@ -243,9 +243,7 @@ def cot_sum(n: int, ctx: GoldenCtx, workers: int = 1) -> CotSum:
     return CotSum(value=value, normalized=pw * value)
 
 
-def _cot_sum_raw(
-    count: int, ctx: GoldenCtx, workers: int, square: bool
-) -> tuple[float, float, int]:
+def _cot_sum_raw(count: int, ctx: GoldenCtx, square: bool) -> tuple[float, float, int]:
     P = ctx.P
     w = ctx.omega.mantissa
     one = 1 << P
@@ -253,18 +251,18 @@ def _cot_sum_raw(
     jobs = [
         ((s * w) % one, w, P, cnt, ang_err, (), square) for s, cnt in block_spans(count)
     ]
-    results = map_blocks(cot_block, jobs, workers)
+    results = map_blocks(cot_block, jobs)
     value = merge_partials([(s, c) for s, c, _e, _m, _sn in results])
     err = math.fsum(e for _s, _c, e, _m, _sn in results)
     min_u = min(m for _s, _c, _e, m, _sn in results)
     return value, err, min_u
 
 
-def cot2_sum(n: int, ctx: GoldenCtx, workers: int = 1) -> float:
+def cot2_sum(n: int, ctx: GoldenCtx) -> float:
     """sum_{r=1}^{F_n} cot^2(pi r omega); asserted against cot2_bound."""
     if n < 4:
         raise ValueError("the squared-cotangent bound starts at n = 4")
-    value, _err, _min_u = _cot_sum_raw(ctx.fibs.fib(n), ctx, workers, square=True)
+    value, _err, _min_u = _cot_sum_raw(ctx.fibs.fib(n), ctx, square=True)
     bound = cot2_bound(n, ctx)
     if value > bound:
         raise PrecisionExhausted(
@@ -310,11 +308,11 @@ def cot_profile(n: int, ctx: GoldenCtx) -> Iterator[tuple[int, float]]:
         done.append(c)
 
 
-def birkhoff_S(k: int, ctx: GoldenCtx, workers: int = 1) -> float:
+def birkhoff_S(k: int, ctx: GoldenCtx) -> float:
     """The Birkhoff sum 2 log P_k(omega)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return 2.0 * sudler_P(k, ctx, workers=workers).log_value
+    return 2.0 * sudler_P(k, ctx).log_value
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,6 @@ def perturbed_product(
     alpha,
     ctx: GoldenCtx,
     check_factored: bool = False,
-    workers: int = 1,
 ) -> float:
     """prod_{r=1}^{F_n} |2 sin(pi (r omega + alpha))| for n >= 2 and
     |alpha| <= omega^{n+1}.
@@ -189,11 +188,9 @@ def perturbed_product(
     if abs(alpha_m) > ctx.omega_pow_mantissa(n + 1):
         raise ValueError(f"|alpha| must be <= omega^{n + 1}")
     fn = ctx.fibs.fib(n)
-    log_value, err = log_abs_sin_product(
-        fn, ctx, alpha_mantissa=alpha_m, alpha_err=alpha_err, workers=workers
-    )
+    log_value, err = log_abs_sin_product(fn, ctx, alpha_mantissa=alpha_m, alpha_err=alpha_err)
     if check_factored:
-        log_fact, err_fact = _log_factored_perturbed(n, alpha_m, ctx, workers)
+        log_fact, err_fact = _log_factored_perturbed(n, alpha_m, ctx)
         if abs(log_fact - log_value) > err + err_fact + 1e-11:
             raise PrecisionExhausted(
                 f"perturbed product paths disagree by {abs(log_fact - log_value):.3e} "
@@ -202,13 +199,11 @@ def perturbed_product(
     return math.exp(log_value)
 
 
-def _log_factored_perturbed(
-    n: int, alpha_m: int, ctx: GoldenCtx, workers: int
-) -> tuple[float, float]:
+def _log_factored_perturbed(n: int, alpha_m: int, ctx: GoldenCtx) -> tuple[float, float]:
     """log of the factored form: log P_{F_n} + sum log(cos(pi alpha) +
     cot(pi r omega) sin(pi alpha)); every factor must stay positive."""
     fn = ctx.fibs.fib(n)
-    base, base_err = log_abs_sin_product(fn, ctx, workers=workers)
+    base, base_err = log_abs_sin_product(fn, ctx)
     alpha = alpha_m * 2.0 ** (-ctx.P)
     ca = math.cos(math.pi * alpha)
     sa = math.sin(math.pi * alpha)
@@ -280,7 +275,7 @@ def _split_walk(k: int, ctx: GoldenCtx) -> list[tuple[int, int, int]]:
     return walk
 
 
-def _fill_segments(walks, ctx: GoldenCtx, memo: dict, workers: int) -> None:
+def _fill_segments(walks, ctx: GoldenCtx, memo: dict) -> None:
     """Put every segment factor of walks missing from ``memo`` into it.
 
     All segments with index s have F_s terms, so they are computed as the
@@ -297,7 +292,6 @@ def _fill_segments(walks, ctx: GoldenCtx, memo: dict, workers: int) -> None:
             ctx,
             alpha_mantissa=list(rows.values()),
             alpha_err=[(tail + 1) * 2.0 ** (-ctx.P) for tail in rows],
-            workers=workers,
         )
         memo.update(zip([(s, tail) for tail in rows], logs))
 
@@ -322,7 +316,7 @@ def _assemble_split(
 
 
 def _split_log(
-    k: int, ctx: GoldenCtx, memo: dict | None = None, workers: int = 1
+    k: int, ctx: GoldenCtx, memo: dict | None = None
 ) -> tuple[tuple[SegmentFactor, ...], float, float]:
     """Zeckendorf segment factors of P_k with their combined log and error.
 
@@ -330,12 +324,12 @@ def _split_log(
     """
     memo = {} if memo is None else memo
     walk = _split_walk(k, ctx)
-    _fill_segments([walk], ctx, memo, workers)
+    _fill_segments([walk], ctx, memo)
     return _assemble_split(walk, ctx, memo)
 
 
 def split_logs(
-    ks: Iterable[int], ctx: GoldenCtx, memo: dict | None = None, workers: int = 1
+    ks: Iterable[int], ctx: GoldenCtx, memo: dict | None = None
 ) -> Iterator[tuple[tuple[SegmentFactor, ...], float, float]]:
     """``_split_log`` for every k in ks, bit-identical to one call per k.
 
@@ -345,7 +339,7 @@ def split_logs(
     """
     memo = {} if memo is None else memo
     walks = [_split_walk(k, ctx) for k in ks]
-    _fill_segments(walks, ctx, memo, workers)
+    _fill_segments(walks, ctx, memo)
     return (_assemble_split(walk, ctx, memo) for walk in walks)
 
 
@@ -353,7 +347,6 @@ def split_product(
     k: int,
     ctx: GoldenCtx,
     memo: dict | None = None,
-    workers: int = 1,
     check: bool = True,
 ) -> SplitProduct:
     """P_k as the product of its Zeckendorf segments,
@@ -365,8 +358,8 @@ def split_product(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    segments, log_value, err = _split_log(k, ctx, memo, workers)
-    direct = sudler_P(k, ctx, workers=workers)
+    segments, log_value, err = _split_log(k, ctx, memo)
+    direct = sudler_P(k, ctx)
     result = SplitProduct(
         k=k,
         segments=segments,
@@ -393,7 +386,7 @@ class PowerLawReport:
     argmax: int
 
 
-def power_law_scan(k_max: int, ctx: GoldenCtx, workers: int = 1) -> PowerLawReport:
+def power_law_scan(k_max: int, ctx: GoldenCtx) -> PowerLawReport:
     """Single incremental pass over k = 2..k_max recording the extrema of
     ln P_k / ln k (k = 1 is excluded: ln 1 = 0)."""
     if k_max < 2:
@@ -402,7 +395,7 @@ def power_law_scan(k_max: int, ctx: GoldenCtx, workers: int = 1) -> PowerLawRepo
 
     k1, k2 = math.inf, -math.inf
     a1 = a2 = 0
-    for k, log_p in _log_prefix_iter(k_max, 1, ctx, workers):
+    for k, log_p in _log_prefix_iter(k_max, 1, ctx):
         if k < 2:
             continue
         ratio = log_p / math.log(k)

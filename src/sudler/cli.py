@@ -6,7 +6,8 @@ scan), and the verification suite (identities, verify).
 
 Numerical outputs print 17 significant digits together with the rigorous
 error bound where one is tracked.  CSV floats use shortest round-trip
-decimals, so output is byte-identical for any worker count.
+decimals.  Sums run over fixed blocks merged in index order, so output is
+reproducible bit for bit; ``--workers`` is accepted (N >= 1) and ignored.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
 3 precision exhaustion.  SUDLER_PRECISION_BITS overrides the default
@@ -43,14 +44,11 @@ class RunConfig:
 
     precision_bits: int = DEFAULT_PRECISION_BITS
     output: str = "-"
-    workers: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.precision_bits < 64:
             raise PrecisionTooLow(f"precision must be >= 64 bits, got {self.precision_bits}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -63,7 +61,12 @@ def _common_flags() -> argparse.ArgumentParser:
         metavar="BITS",
         help=f"working precision in bits (default 192; env {_ENV_PRECISION})",
     )
-    common.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    common.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted and ignored; must be >= 1 (blocks run in one thread)",
+    )
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     common.add_argument(
         "--output", "-o", default="-", metavar="PATH", help="CSV output path ('-' = stdout)"
@@ -145,11 +148,10 @@ def run(argv: list[str] | None = None, stdout: IO[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.workers < 1:
+            raise ValueError("workers must be >= 1")
         cfg = RunConfig(
-            precision_bits=_resolve_precision(args.precision),
-            output=args.output,
-            workers=args.workers,
-            seed=args.seed,
+            precision_bits=_resolve_precision(args.precision), output=args.output, seed=args.seed
         )
         return _dispatch(args, cfg, out)
     except PrecisionExhausted as exc:
@@ -174,12 +176,12 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
 
     ctx = make_ctx(cfg.precision_bits)
     if cmd == "p":
-        res = pr.sudler_P(args.k, ctx, workers=cfg.workers)
+        res = pr.sudler_P(args.k, ctx)
         print(f"P_{args.k} = {_g(res.value)}  (log = {_g(res.log_value)}, |log err| <= {res.err:.3e})", file=out)
         return 0
     if cmd == "q":
         fn = ctx.fibs.fib(args.n)
-        res = pr.Q_n(args.n, ctx, workers=cfg.workers)
+        res = pr.Q_n(args.n, ctx)
         print(
             f"Q_{args.n} = P_{fn} = {_g(res.value)}  (log = {_g(res.log_value)}, "
             f"|log err| <= {res.err:.3e}, route: {_ROUTES[res.route]})",
@@ -187,7 +189,7 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
         )
         return 0
     if cmd == "decompose":
-        d = pr.decompose(args.n, ctx, workers=cfg.workers)
+        d = pr.decompose(args.n, ctx)
         print(f"A_{args.n} = {_g(d.A)}  (|log err| <= {d.A_err:.3e})", file=out)
         print(f"B_{args.n} = {_g(d.B)}  (|log err| <= {d.B_err:.3e})", file=out)
         print(f"C_{args.n} = {_g(d.C)}  (|log err| <= {d.C_err:.3e})", file=out)
@@ -206,7 +208,7 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
         )
         return 0
     if cmd == "cotsum":
-        cs = bk.cot_sum(args.n, ctx, workers=cfg.workers)
+        cs = bk.cot_sum(args.n, ctx)
         print(f"sum cot(pi r omega), r <= F_{args.n} = {_g(cs.value)}", file=out)
         print(f"normalized omega^{args.n} * sum = {_g(cs.normalized)}", file=out)
         return 0
@@ -214,21 +216,21 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
         _emit_csv(bk.cot_profile(args.n, ctx), "k,partial", cfg, out)
         return 0
     if cmd == "profile":
-        rows = pr.profile(args.n, args.stride, ctx, workers=cfg.workers)
+        rows = pr.profile(args.n, args.stride, ctx)
         _emit_csv(rows, "k,P,logP", cfg, out)
         return 0
     if cmd == "scan":
         rows = (
             (k, log_p / math.log(k))
-            for k, log_p in pr._log_prefix_iter(args.kmax, 1, ctx, cfg.workers)
+            for k, log_p in pr._log_prefix_iter(args.kmax, 1, ctx)
             if k >= 2
         )
         _emit_csv(rows, "k,logP_over_logk", cfg, out)
         return 0
     if cmd == "perturbed":
         alpha = Fraction(args.alpha)
-        value = bd.perturbed_product(args.n, alpha, ctx, check_factored=True, workers=cfg.workers)
-        q = pr.Q_n(args.n, ctx, workers=cfg.workers).value
+        value = bd.perturbed_product(args.n, alpha, ctx, check_factored=True)
+        q = pr.Q_n(args.n, ctx).value
         print(f"prod |2 sin pi(r omega + alpha)|, r <= F_{args.n} = {_g(value)}", file=out)
         print(f"ratio to Q_{args.n} = {_g(value / q)}", file=out)
         return 0
@@ -241,9 +243,7 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
             print(f"{c.name:36s} max rel dev {c.max_rel_dev:.3e} (n={c.worst_n})  {status}", file=out)
         return 1 if failed else 0
     if cmd == "verify":
-        results = vf.run_checks(
-            level=args.level, seed=cfg.seed, precision=cfg.precision_bits, workers=cfg.workers
-        )
+        results = vf.run_checks(level=args.level, seed=cfg.seed, precision=cfg.precision_bits)
         width = max(len(r.name) for r in results)
         failures = 0
         for r in results:

@@ -141,6 +141,17 @@ def _direct_floor(count: int) -> float:
     return TERM_FLOOR * _EPS * count
 
 
+def _check_floor(count: int) -> None:
+    """Raise PrecisionExhausted, before any kernel work, when the float64
+    floor of a count-term orbit sum alone exceeds ERR_BUDGET."""
+    floor = _direct_floor(count)
+    if floor > ERR_BUDGET:
+        raise PrecisionExhausted(
+            f"the float64 rounding floor of a {count}-term sum, {floor:.3e}, exceeds budget "
+            f"{ERR_BUDGET:.1e}; no --precision lowers it"
+        )
+
+
 def _omega_pow_err(n: int, ctx: GoldenCtx) -> float:
     """Relative error of ctx.omega_pow_float(n) beyond its float64 rounding:
     the P-bit omega is within 2^-P, and omega^n = |F_{n-1} - F_n omega|
@@ -174,7 +185,6 @@ def log_abs_sin_product(
     alpha_mantissa=0,
     alpha_err=0.0,
     start_r: int = 0,
-    workers: int = 1,
 ):
     """(log, err) of prod_{r=start_r+1}^{start_r+count} |2 sin(pi(r omega + alpha))|.
 
@@ -191,12 +201,7 @@ def log_abs_sin_product(
     if count <= 0:
         out = [(0.0, 0.0)] * len(alphas)
         return out[0] if single else out
-    floor = _direct_floor(count)
-    if floor > ERR_BUDGET:
-        raise PrecisionExhausted(
-            f"the float64 rounding floor of a {count}-term sum, {floor:.3e}, exceeds budget "
-            f"{ERR_BUDGET:.1e}; no --precision lowers it"
-        )
+    _check_floor(count)
     P = ctx.P
     w = ctx.omega.mantissa
     one = 1 << P
@@ -205,7 +210,7 @@ def log_abs_sin_product(
         ([((start_r + s) * w + a) % one for a in alphas], w, P, cnt, ang_err)
         for s, cnt in block_spans(count)
     ]
-    blocks = map_blocks(log2sin_block, jobs, workers)
+    blocks = map_blocks(log2sin_block, jobs)
     out = []
     # each row holds one anchor's (sum, compensation, err, angle part), block by block
     for row in zip(*(zip(s.tolist(), c.tolist(), e.tolist(), a.tolist()) for s, c, e, _sn, a in blocks)):
@@ -221,10 +226,11 @@ def log_abs_sin_product(
 
 
 def sudler_P(k: int, ctx: GoldenCtx, workers: int = 1) -> ProductResult:
-    """P_k(omega) for k >= 0; the empty product P_0 is 1."""
+    """P_k(omega) for k >= 0; the empty product P_0 is 1.  ``workers`` is
+    accepted and ignored, as on Q_n and decompose."""
     if k < 0:
         raise ValueError(f"term count must be >= 0, got {k}")
-    log_value, err = log_abs_sin_product(k, ctx, workers=workers)
+    log_value, err = log_abs_sin_product(k, ctx)
     return ProductResult(k=k, log_value=log_value, value=math.exp(log_value), err=err)
 
 
@@ -258,16 +264,16 @@ def Q_n(n: int, ctx: GoldenCtx, workers: int = 1) -> ProductResult:
     Where the direct orbit sum's float64 floor fits ERR_BUDGET (n <= 31) it
     is sudler_P(F_n), bit for bit.  Above that it is
     exp(log A_n + log B_n + log C_n) with the sum of the factors' bounds
-    (route "factors").
+    (route "factors").  ``workers`` is accepted and ignored.
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
     fn = ctx.fibs.fib(n)
     if _direct_floor(fn) <= ERR_BUDGET:
-        return sudler_P(fn, ctx, workers=workers)
+        return sudler_P(fn, ctx)
     # A first: at low precision its omega^n charge refuses before the long walk
     log_a, err_a = _log_a(n, ctx)
-    (log_b, err_b), (log_c, err_c) = _log_factors(n, ctx, ("B", "C"), workers)
+    (log_b, err_b), (log_c, err_c) = _log_factors(n, ctx, ("B", "C"))
     log_q = math.fsum((log_a, log_b, log_c))
     err = math.fsum((err_a, err_b, err_c)) + _EPS * abs(log_q)
     if err > ERR_BUDGET:
@@ -318,15 +324,15 @@ def _residue_chunks(start: int, count: int, fn1: int, fn: int) -> Iterator[tuple
         yield lo + _STEPS[:m], res
 
 
-def _walk_half(n: int, ctx: GoldenCtx, terms: list, workers: int) -> tuple[list[float], list[float]]:
+def _walk_half(n: int, ctx: GoldenCtx, terms: list) -> tuple[list[float], list[float]]:
     """Per term function of (t, res), the sum of its log-terms and the sum
     of its weights over t < F_n/2, all from one walk over the residues.
 
     Each chunk's log-terms are stacked as rows, zero-padded to CHUNK and
     summed by ``pairwise_sum``, each row within TREE_RATE sum |term|; one
-    call sums all chunks of a block.  The walk keeps the fixed block_spans
-    partition, and every row's chunk sums merge by one math.fsum in index
-    order, so ``workers`` changes no bit.
+    call sums all chunks of a block.  The walk runs the blocks of the fixed
+    block_spans partition in index order, and every row's chunk sums merge
+    by one math.fsum in that order.
     """
     fn = ctx.fibs.fib(n)
     fn1 = ctx.fibs.fib(n - 1)
@@ -343,7 +349,7 @@ def _walk_half(n: int, ctx: GoldenCtx, terms: list, workers: int) -> tuple[list[
                 weights[row] += g.sum()
         return pairwise_sum(buf), weights
 
-    results = map_blocks(block, block_spans(half), workers)
+    results = map_blocks(block, block_spans(half))
     chunk_sums = np.concatenate([sums for sums, _w in results], axis=1)
     log_sums = [math.fsum(row) for row in chunk_sums.tolist()]
     weights = [math.fsum(col) for col in zip(*(w.tolist() for _s, w in results))]
@@ -389,9 +395,7 @@ def _b_terms(
     return np.log1p(w), np.abs(w) / (1.0 + w)
 
 
-def _log_factors(
-    n: int, ctx: GoldenCtx, which: tuple[str, ...], workers: int = 1
-) -> list[tuple[float, float]]:
+def _log_factors(n: int, ctx: GoldenCtx, which: tuple[str, ...]) -> list[tuple[float, float]]:
     """(log, |log err| bound) of each factor named in which ("B" for B_n,
     "B*" for B*_n, "C" for C_n), all from one walk over t < F_n/2.
 
@@ -409,7 +413,7 @@ def _log_factors(
         "B*": lambda t, res: _b_terms(t, res, fn, pw, False),
         "C": lambda t, res: _c_terms(t, res, fn, pw, s0),
     }
-    sums, weights = _walk_half(n, ctx, [term_fns[f] for f in which], workers)
+    sums, weights = _walk_half(n, ctx, [term_fns[f] for f in which])
     delta = _omega_pow_err(n, ctx)
     out = []
     for f, log_value, weight in zip(which, sums, weights):
@@ -428,30 +432,28 @@ def _log_factors(
     return out
 
 
-def _log_perturbation_product(
-    n: int, ctx: GoldenCtx, include_quadratic: bool, workers: int
-) -> tuple[float, float]:
+def _log_perturbation_product(n: int, ctx: GoldenCtx, include_quadratic: bool) -> tuple[float, float]:
     """(log, |log err| bound) of prod_{t=1}^{F_n-1} (1 - alpha_nt - h_nt), the
     exact per-term form of s_nt / (2 sin(pi t/F_n)); omitting the quadratic
     alpha_nt = 2 sin^2(pi omega^n xi_nt / 2) gives the comparison product."""
-    return _log_factors(n, ctx, ("B" if include_quadratic else "B*",), workers)[0]
+    return _log_factors(n, ctx, ("B" if include_quadratic else "B*",))[0]
 
 
-def B_n(n: int, ctx: GoldenCtx, workers: int = 1) -> float:
+def B_n(n: int, ctx: GoldenCtx) -> float:
     """Perturbation ratio product prod s_nt / (2 sin(pi t/F_n)); empty (=1)
     for n = 1, 2."""
     if n < 1:
         raise ValueError("level n must be >= 1")
-    log_b, _err = _log_perturbation_product(n, ctx, True, workers)
+    log_b, _err = _log_perturbation_product(n, ctx, True)
     return math.exp(log_b)
 
 
-def B_star(n: int, ctx: GoldenCtx, workers: int = 1) -> float:
+def B_star(n: int, ctx: GoldenCtx) -> float:
     """The comparison product prod (1 - h_nt), i.e. B_n without the
     quadratic correction."""
     if n < 1:
         raise ValueError("level n must be >= 1")
-    log_b, _err = _log_perturbation_product(n, ctx, False, workers)
+    log_b, _err = _log_perturbation_product(n, ctx, False)
     return math.exp(log_b)
 
 
@@ -538,12 +540,13 @@ def C_infinity_trunc(T: int, ctx: GoldenCtx) -> float:
 def decompose(n: int, ctx: GoldenCtx, workers: int = 1) -> Decomposition:
     """Compute Q_n by the direct orbit sum (never the factor route, so the
     two stay independent) and A_n, B_n, C_n by their own formulas, plus
-    the residual Q - A*B*C and every bound."""
+    the residual Q - A*B*C and every bound.  ``workers`` is accepted and
+    ignored."""
     if n < 1:
         raise ValueError("level n must be >= 1")
-    q = sudler_P(ctx.fibs.fib(n), ctx, workers=workers)
+    q = sudler_P(ctx.fibs.fib(n), ctx)
     err_a = _log_a(n, ctx)[1]
-    (log_b, err_b), (log_c, err_c) = _log_factors(n, ctx, ("B", "C"), workers)
+    (log_b, err_b), (log_c, err_c) = _log_factors(n, ctx, ("B", "C"))
     a, b, c = A_n(n, ctx), math.exp(log_b), math.exp(log_c)
     return Decomposition(
         n=n, A=a, B=b, C=c, Q=q.value, residual=q.value - a * b * c,
@@ -551,66 +554,53 @@ def decompose(n: int, ctx: GoldenCtx, workers: int = 1) -> Decomposition:
     )
 
 
-def ratio_PFn_minus1(n: int, ctx: GoldenCtx, workers: int = 1) -> float:
+def ratio_PFn_minus1(n: int, ctx: GoldenCtx) -> float:
     """P_{F_n - 1}(omega) / F_n, the peak-normalisation ratio."""
     if n < 2:
         raise ValueError("level n must be >= 2")
     fn = ctx.fibs.fib(n)
-    return sudler_P(fn - 1, ctx, workers=workers).value / fn
+    return sudler_P(fn - 1, ctx).value / fn
 
 
-def _log_prefix_iter(
-    count: int,
-    stride: int,
-    ctx: GoldenCtx,
-    workers: int = 1,
-) -> Iterator[tuple[int, float]]:
+def _log_prefix_iter(count: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[int, float]]:
     """Yield (k, log P_k) for k = 1, 1 + stride, ... <= count in one
-    incremental pass sharing its block arithmetic with sudler_P, so an
-    emitted value at k is bit-identical to sudler_P(k).log_value for any
-    worker count."""
+    incremental pass, block by block, sharing its block arithmetic with
+    sudler_P, so an emitted value at k is bit-identical to
+    sudler_P(k).log_value.
+
+    Raises PrecisionExhausted before the first row when the float64 floor
+    of count terms exceeds ERR_BUDGET, and otherwise at the first block
+    whose running bound does, naming its larger part.
+    """
+    _check_floor(count)
     P = ctx.P
     w = ctx.omega.mantissa
     one = 1 << P
-    spans = block_spans(count)
-
-    def job(start: int, cnt: int):
-        first = (-start) % stride + 1
-        emit = np.arange(first, cnt + 1, stride)
-        a0 = (start * w) % one
-        ang_err = (start + cnt + 1) * 2.0 ** (-P)
-        return log2sin_block(a0, w, P, cnt, ang_err, emit_at=emit)
-
     done: list[float] = []
-    err_total = 0.0
-    idx = 0
-    while idx < len(spans):
-        group = spans[idx : idx + max(workers, 1)]
-        idx += len(group)
-        results = map_blocks(job, group, workers)
-        for (start, _cnt), (s, c, e, snaps, _ang) in zip(group, results):
-            err_total += e
-            if err_total > ERR_BUDGET:
-                raise PrecisionExhausted(
-                    f"prefix-pass error bound {err_total:.3e} exceeds budget at k~{start}"
-                )
-            for i, s_at, c_at in zip(*(col.tolist() for col in snaps)):
-                yield (start + i, math.fsum(done + [s_at, c_at]))
-            done.append(s)
-            done.append(c)
+    err = ang = 0.0
+    for start, cnt in block_spans(count):
+        emit = np.arange((-start) % stride + 1, cnt + 1, stride)
+        ang_err = (start + cnt + 1) * 2.0 ** (-P)
+        s, c, e, snaps, a = log2sin_block((start * w) % one, w, P, cnt, ang_err, emit_at=emit)
+        err += e
+        ang += a
+        if err > ERR_BUDGET:
+            _refuse(
+                f"prefix pass at k={start + cnt}, P={P}", err, err - ang, ang,
+                "the P-bit angle term", "the log terms' float64 rounding",
+            )
+        for i, s_at, c_at in zip(*(col.tolist() for col in snaps)):
+            yield (start + i, math.fsum(done + [s_at, c_at]))
+        done.append(s)
+        done.append(c)
 
 
-def profile(
-    n_max: int,
-    stride: int,
-    ctx: GoldenCtx,
-    workers: int = 1,
-) -> Iterator[tuple[int, float, float]]:
+def profile(n_max: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[int, float, float]]:
     """Yield (k, P_k, log P_k) for k = 1, 1 + stride, ... up to F_{n_max},
     computed incrementally in a single pass over the orbit (no re-products)."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    for k, log_p in _log_prefix_iter(ctx.fibs.fib(n_max), stride, ctx, workers):
+    for k, log_p in _log_prefix_iter(ctx.fibs.fib(n_max), stride, ctx):
         yield (k, math.exp(log_p), log_p)

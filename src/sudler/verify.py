@@ -45,7 +45,6 @@ class CheckResult:
 class _Cfg:
     level: str
     seed: int
-    workers: int
     ctx: GoldenCtx
 
 
@@ -243,7 +242,7 @@ def check_decomposition_identity(cfg: _Cfg) -> CheckResult:
     worst = 0.0
     worst_n = 0
     for n in range(1, n_max + 1):
-        d = pr.decompose(n, cfg.ctx, workers=cfg.workers)
+        d = pr.decompose(n, cfg.ctx)
         if not (d.A > 0 and d.B > 0 and d.C > 0 and d.Q > 0):
             return CheckResult("decomposition-identity", False, f"nonpositive factor at n={n}")
         r = abs(d.rel_residual)
@@ -259,7 +258,7 @@ def check_decomposition_identity(cfg: _Cfg) -> CheckResult:
 
 def check_subsequence_convergence(cfg: _Cfg) -> CheckResult:
     lo, hi = _q(cfg, (14, 22), (20, 30))
-    qs = {n: pr.Q_n(n, cfg.ctx, workers=cfg.workers).value for n in range(lo, hi + 1)}
+    qs = {n: pr.Q_n(n, cfg.ctx).value for n in range(lo, hi + 1)}
     in_band = all(2.35 < v < 2.46 for v in qs.values())
     diffs = [abs(qs[n + 1] - qs[n]) for n in range(lo, hi)]
     half = len(diffs) // 2
@@ -305,7 +304,7 @@ def check_c_limit(cfg: _Cfg) -> CheckResult:
 def check_accumulation_point_zero(cfg: _Cfg) -> CheckResult:
     n = _q(cfg, 22, 28)
     fn = fc.fib(n)
-    ratio = bk.birkhoff_S(fn, cfg.ctx, workers=cfg.workers) / math.log(fn)
+    ratio = bk.birkhoff_S(fn, cfg.ctx) / math.log(fn)
     ok = abs(ratio) < 0.1
     return CheckResult(
         "accumulation-point-zero",
@@ -318,7 +317,7 @@ def check_accumulation_point_zero(cfg: _Cfg) -> CheckResult:
 def check_accumulation_point_two(cfg: _Cfg) -> CheckResult:
     n = _q(cfg, 22, 28)
     fn = fc.fib(n)
-    ratio = bk.birkhoff_S(fn - 1, cfg.ctx, workers=cfg.workers) / math.log(fn)
+    ratio = bk.birkhoff_S(fn - 1, cfg.ctx) / math.log(fn)
     ok = abs(ratio - 2.0) < 0.1
     return CheckResult(
         "accumulation-point-two", ok, f"S_(F_{n}-1)/ln F_{n} = {ratio:.4f}, within 0.1 of 2: {ok}"
@@ -331,7 +330,7 @@ def check_cot_enclosures(cfg: _Cfg) -> CheckResult:
     inv_pi = 1.0 / math.pi
     worst_margin = math.inf
     for n in range(2, n_max + 1):
-        norm = bk.cot_sum(n, ctx, workers=cfg.workers).normalized
+        norm = bk.cot_sum(n, ctx).normalized
         big = inv_pi * ((1.0 + _pow2n(ctx, n)) / math.sqrt(5.0) + ctx.omega_float)
         if n % 2:  # odd: (-big, 1/pi)
             lo, hi = -big, inv_pi
@@ -350,7 +349,7 @@ def check_cot_enclosures(cfg: _Cfg) -> CheckResult:
     cot2_hi = _q(cfg, 10, 18)
     margin2 = math.inf
     for n in range(4, cot2_hi + 1):
-        value = bk.cot2_sum(n, ctx, workers=cfg.workers)  # raises if bound fails
+        value = bk.cot2_sum(n, ctx)  # raises if bound fails
         if value <= 0:
             return CheckResult("cot-sum-enclosures", False, f"cot^2 sum nonpositive at n={n}")
         margin2 = min(margin2, bk.cot2_bound(n, ctx) / value)
@@ -413,8 +412,8 @@ def check_partial_sums(cfg: _Cfg) -> CheckResult:
 def check_power_law(cfg: _Cfg) -> CheckResult:
     k_hi = fc.fib(_q(cfg, 14, 20))
     # extrema must be monotone in k_max: compare against a shorter prefix
-    rep_half = bd.power_law_scan(k_hi // 2, cfg.ctx, workers=cfg.workers)
-    rep = bd.power_law_scan(k_hi, cfg.ctx, workers=cfg.workers)
+    rep_half = bd.power_law_scan(k_hi // 2, cfg.ctx)
+    rep = bd.power_law_scan(k_hi, cfg.ctx)
     monotone = rep.K1_emp <= rep_half.K1_emp and rep.K2_emp >= rep_half.K2_emp
     argmax_at_peak = any(rep.argmax == fc.fib(n) - 1 for n in range(3, 22))
     ok = rep.K2_emp >= 1.0 and monotone and argmax_at_peak
@@ -428,7 +427,7 @@ def check_power_law(cfg: _Cfg) -> CheckResult:
 
 def check_power_law_k1_sign(cfg: _Cfg) -> CheckResult:
     k_hi = fc.fib(_q(cfg, 14, 20))
-    rep = bd.power_law_scan(k_hi, cfg.ctx, workers=cfg.workers)
+    rep = bd.power_law_scan(k_hi, cfg.ctx)
     ok = rep.K1_emp <= 0.0
     return CheckResult(
         "power-law-k1-sign",
@@ -444,10 +443,10 @@ def check_split_product(cfg: _Cfg) -> CheckResult:
     k_max = _q(cfg, 1000, 10_000)
     memo: dict = {}
     directs: dict[int, float] = {}
-    for k, log_p in pr._log_prefix_iter(k_max, 1, ctx, cfg.workers):
+    for k, log_p in pr._log_prefix_iter(k_max, 1, ctx):
         directs[k] = log_p
     worst = 0.0
-    splits = bd.split_logs(range(1, k_max + 1), ctx, memo, cfg.workers)
+    splits = bd.split_logs(range(1, k_max + 1), ctx, memo)
     for k, (_segments, log_split, _err) in enumerate(splits, start=1):
         rel = abs(math.expm1(log_split - directs[k]))
         worst = max(worst, rel)
@@ -457,8 +456,8 @@ def check_split_product(cfg: _Cfg) -> CheckResult:
     rng_ks = sorted(
         {2 + (hash((cfg.seed, i)) % (fc.fib(25) - 2)) for i in range(_q(cfg, 10, 100))}
     )
-    split_at = dict(zip(rng_ks, bd.split_logs(rng_ks, ctx, memo, cfg.workers)))
-    it = pr._log_prefix_iter(max(rng_ks), 1, ctx, cfg.workers)
+    split_at = dict(zip(rng_ks, bd.split_logs(rng_ks, ctx, memo)))
+    it = pr._log_prefix_iter(max(rng_ks), 1, ctx)
     pos = 0
     for k, log_p in it:
         if k in split_at:
@@ -558,7 +557,7 @@ def check_multiplicativity(cfg: _Cfg) -> CheckResult:
     targets = sorted({rng.randrange(1, k_max - 1) for _ in range(n_samples)})
     wanted = set(targets) | {t + 1 for t in targets}
     logs: dict[int, float] = {}
-    for k, log_p in pr._log_prefix_iter(k_max, 1, ctx, cfg.workers):
+    for k, log_p in pr._log_prefix_iter(k_max, 1, ctx):
         if k in wanted:
             logs[k] = log_p
     worst = 0.0
@@ -579,7 +578,7 @@ def check_b_factor(cfg: _Cfg) -> CheckResult:
     n_max = _q(cfg, 18, 25)
     worst = 0.0
     for n in range(10, n_max + 1):
-        drift = abs(math.log(pr.B_n(n, ctx, workers=cfg.workers)) - math.log(pr.B_star(n, ctx, workers=cfg.workers)))
+        drift = abs(math.log(pr.B_n(n, ctx)) - math.log(pr.B_star(n, ctx)))
         worst = max(worst, drift / ctx.omega_pow_float(n))
     ok = worst < 2.0
     return CheckResult(
@@ -611,13 +610,13 @@ def check_perturbed_ratio(cfg: _Cfg) -> CheckResult:
     hi_seen = 0.0
     per_n_lo = []
     for n in range(4, n_max + 1):
-        qn = pr.Q_n(n, ctx, workers=cfg.workers).value
+        qn = pr.Q_n(n, ctx).value
         m_1 = ctx.omega_pow_mantissa(n + 1)
         n_lo = math.inf
         for fracpos in (-1.0, -0.7, -0.35, 0.35, 0.7, 1.0):
             am = int(fracpos * m_1)
             log_v, _err = pr.log_abs_sin_product(
-                fc.fib(n), ctx, alpha_mantissa=am, alpha_err=2.0 ** (-ctx.P), workers=cfg.workers
+                fc.fib(n), ctx, alpha_mantissa=am, alpha_err=2.0 ** (-ctx.P)
             )
             ratio = math.exp(log_v) / qn
             lo_seen = min(lo_seen, ratio)
@@ -645,10 +644,10 @@ def check_segment_factors(cfg: _Cfg) -> CheckResult:
     qn_cache: dict[int, float] = {}
     lo_seen = math.inf
     hi_seen = 0.0
-    for segments, _log, _err in bd.split_logs(range(1, k_max + 1), ctx, workers=cfg.workers):
+    for segments, _log, _err in bd.split_logs(range(1, k_max + 1), ctx):
         for seg in segments:
             if seg.s not in qn_cache:
-                qn_cache[seg.s] = pr.Q_n(seg.s, ctx, workers=cfg.workers).value
+                qn_cache[seg.s] = pr.Q_n(seg.s, ctx).value
             ratio = seg.factor / qn_cache[seg.s]
             lo_seen = min(lo_seen, ratio)
             hi_seen = max(hi_seen, ratio)
@@ -666,8 +665,8 @@ def check_peak_ratio_form(cfg: _Cfg) -> CheckResult:
     reports which one the data matches."""
     ctx = cfg.ctx
     n = _q(cfg, 16, 22)
-    c = pr.Q_n(n, ctx, workers=cfg.workers).value
-    ratio = pr.ratio_PFn_minus1(n, ctx, workers=cfg.workers)
+    c = pr.Q_n(n, ctx).value
+    ratio = pr.ratio_PFn_minus1(n, ctx)
     form_a = c * math.sqrt(5.0) / (2.0 * math.pi)
     form_b = c / (2.0 * math.pi * math.sqrt(5.0))
     dev_a = abs(ratio - form_a)
@@ -690,11 +689,11 @@ def check_profile_consistency(cfg: _Cfg) -> CheckResult:
     peaks: dict[int, float] = {}
     run_max, run_arg = 0.0, 1
     mismatch = 0.0
-    for k, p_k, _log_p in pr.profile(n_ref, 1, ctx, workers=cfg.workers):
+    for k, p_k, _log_p in pr.profile(n_ref, 1, ctx):
         if p_k > run_max:
             run_max, run_arg = p_k, k
         if k in want:
-            direct = pr.Q_n(want[k], ctx, workers=cfg.workers).value
+            direct = pr.Q_n(want[k], ctx).value
             mismatch = max(mismatch, abs(p_k - direct))
             peaks[k] = run_max
     # peaks grow roughly linearly: max over k <= F_n sits near F_n - 1 and
@@ -753,10 +752,11 @@ def run_checks(
     workers: int = 1,
     only: set[str] | None = None,
 ) -> list[CheckResult]:
-    """Run the verification suite and return one CheckResult per check."""
+    """Run the verification suite and return one CheckResult per check.
+    ``workers`` is accepted and ignored."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
-    cfg = _Cfg(level=level, seed=seed, workers=workers, ctx=make_ctx(precision))
+    cfg = _Cfg(level=level, seed=seed, ctx=make_ctx(precision))
     results = []
     for name, fn in _MODULE_CHECKS:
         if only is not None and name not in only:

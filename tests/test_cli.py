@@ -74,6 +74,27 @@ def test_precision_exhaustion_exit_code():
     assert cli.run(["p", "200000", "--precision", "64"]) == 3
 
 
+def test_workers_below_one_is_argument_error():
+    assert cli.run(["q", "5", "--workers", "0"]) == 2
+
+
+def test_profile_past_the_float64_floor_refused_before_any_row(capsys):
+    status, out = run(["profile", "32"])
+    assert status == 3
+    assert out.splitlines()[1:] == []
+    assert "rounding floor" in capsys.readouterr().err
+
+
+def test_scan_refusal_names_float64_rounding(tmp_path, capsys):
+    """1.6M terms fit the 4.5 eps floor, but the log terms' own rounding
+    crosses the budget partway through the scan."""
+    status = cli.run(["scan", "1600000", "--output", str(tmp_path / "scan.csv")])
+    assert status == 3
+    err = capsys.readouterr().err
+    assert "prefix pass at k=" in err
+    assert "the log terms' float64 rounding, which no --precision lowers" in err
+
+
 def test_precision_too_low_is_argument_error():
     assert cli.run(["q", "5", "--precision", "16"]) == 2
 

@@ -1,13 +1,18 @@
 """The orbit kernel and the cumsum-form Neumaier primitive."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import sudler
 from sudler import PrecisionExhausted, make_ctx
 from sudler._engine import (
     CHUNK,
@@ -359,3 +364,13 @@ class TestRigour:
     def test_random_orbit_points(self, ctx):
         rng = np.random.default_rng(2014)
         self._check(ctx, rng.integers(1, fib(40), 10_000).tolist())
+
+
+def test_import_loads_no_thread_pool():
+    """Blocks run in one thread, so importing the package must not pull
+    in concurrent.futures (about 5 ms of the import)."""
+    src = str(Path(sudler.__file__).resolve().parents[1])
+    code = "import sudler, sys; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

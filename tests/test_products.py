@@ -24,6 +24,7 @@ from sudler import (
     sudler_P_rational,
 )
 from sudler._engine import CHUNK
+from sudler.verify import run_checks
 from sudler.products import (
     _b_terms,
     _c_terms,
@@ -266,26 +267,28 @@ class TestVectorisedFactors:
     @pytest.mark.parametrize("include_quadratic", [True, False])
     def test_b_block_matches_scalar_loop(self, ctx, include_quadratic):
         want_log, want_err = scalar_log_perturbation(25, ctx, include_quadratic)
-        got_log, got_err = _log_perturbation_product(25, ctx, include_quadratic, 1)
+        got_log, got_err = _log_perturbation_product(25, ctx, include_quadratic)
         assert abs(got_log - want_log) < 1e-14
         assert abs(got_err - want_err) <= 1e-12 * want_err
 
     def test_b_workers_bitwise(self, ctx):
-        assert B_n(25, ctx, workers=1) == B_n(25, ctx, workers=2)
-        assert B_star(25, ctx, workers=1) == B_star(25, ctx, workers=2)
+        """decompose still accepts ``workers`` and ignores it."""
+        d = decompose(25, ctx, workers=2)
+        assert d == decompose(25, ctx)
+        assert d.B == B_n(25, ctx)
 
     def test_workers_bitwise_across_blocks(self, ctx):
-        assert B_n(27, ctx, workers=1) == B_n(27, ctx, workers=2)
-        assert B_star(27, ctx, workers=1) == B_star(27, ctx, workers=2)
-        assert _log_factors(27, ctx, ("C",), 1) == _log_factors(27, ctx, ("C",), 2)
-        assert Q_n(33, ctx, workers=1) == Q_n(33, ctx, workers=2)
+        """Q_n and sudler_P still accept ``workers`` and ignore it."""
+        assert Q_n(33, ctx, workers=2) == Q_n(33, ctx)
+        fn = ctx.fibs.fib(25)
+        assert sudler_P(fn, ctx, workers=2) == sudler_P(fn, ctx)
 
     @pytest.mark.parametrize("n", [33, 34, 35])
     def test_factor_route_equals_single_factors(self, ctx, n):
         """Q_n's one walk for B_n and C_n gives the bits of their own walks."""
         res = Q_n(n, ctx)
         assert res.route == "factors"
-        log_b = _log_perturbation_product(n, ctx, True, 1)[0]
+        log_b = _log_perturbation_product(n, ctx, True)[0]
         log_c = _log_factors(n, ctx, ("C",))[0][0]
         log_q = math.fsum((_log_a(n, ctx)[0], log_b, log_c))
         assert (res.log_value, res.value) == (log_q, math.exp(log_q))
@@ -295,7 +298,7 @@ class TestVectorisedFactors:
         d = decompose(n, ctx)
         assert (d.B, d.C) == (B_n(n, ctx), C_n(n, ctx))
         err_c = _log_factors(n, ctx, ("C",))[0][1]
-        assert (d.B_err, d.C_err) == (_log_perturbation_product(n, ctx, True, 1)[1], err_c)
+        assert (d.B_err, d.C_err) == (_log_perturbation_product(n, ctx, True)[1], err_c)
 
     @pytest.mark.parametrize("n", [24, 25, 27])  # even and odd F_n
     def test_c_matches_scalar_gen_prod_bitwise(self, ctx, n):
@@ -373,10 +376,27 @@ class TestProfile:
         ks = [k for k, _p, _lp in profile(7, 5, ctx)]
         assert ks == [1, 6, 11]
 
-    def test_workers_do_not_change_values(self, ctx):
-        one = list(profile(12, 7, ctx, workers=1))
-        four = list(profile(12, 7, ctx, workers=4))
-        assert one == four
+    def test_refused_before_first_row_past_the_float64_floor(self, ctx, monkeypatch):
+        calls = []
+        kernel = products.log2sin_block
+        monkeypatch.setattr(products, "log2sin_block", lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+        with pytest.raises(PrecisionExhausted, match="rounding floor"):
+            next(profile(32, 400_000, ctx))
+        assert calls == []
+
+    def test_late_refusal_names_k_and_the_angle_term(self):
+        """The rounding case is `sudler scan 1600000` in test_cli."""
+        with pytest.raises(PrecisionExhausted, match=r"prefix pass at k=\d+, P=64 .*the P-bit angle term"):
+            list(products._log_prefix_iter(200_000, 200_000, make_ctx(64)))
+
+    def test_workers_do_not_change_values(self):
+        """run_checks still accepts ``workers`` and ignores it."""
+        only = {"decomposition-identity", "profile-consistency", "split-product-agreement"}
+        rows = [
+            [(r.name, r.passed, r.detail) for r in run_checks(level="quick", only=only, **kw)]
+            for kw in ({"workers": 4}, {})
+        ]
+        assert rows[0] == rows[1] and len(rows[0]) == len(only)
 
     def test_windowed_peaks_sit_before_fibonacci_indices(self, ctx):
         """Within each window (F_{n-1}, F_n] the largest P_k is at F_n - 1."""
