@@ -116,41 +116,30 @@ def S_nt(n: int, t: int, theta, ctx: GoldenCtx, check_split: bool = False) -> fl
     return value
 
 
-def S_nt_split(n: int, t: int, ctx: GoldenCtx, memo: dict | None = None) -> float:
-    """S_nt(0) assembled from its Zeckendorf segments,
-
-        S_nt = sum_s b_s S_{n, F_s}(t_s omega),  t_s = sum_{u > s} b_u F_u,
-
-    with every segment summed afresh from its own phase t_s omega.  ``memo``
-    (keyed by (n, s, t_s)) lets bulk scans share segment sums.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    memo = {} if memo is None else memo
-    walk = list(zeckendorf(t, ctx.fibs).segments(ctx.fibs))
-    _fill_sums(n, [walk], ctx, memo)
-    return math.fsum([memo[(n, s, tail)] for s, tail in walk])
+def S_nt_split(n: int, t: int, ctx: GoldenCtx) -> float:
+    """S_nt(0) assembled from its Zeckendorf segments: the one-t case of
+    ``S_nt_splits``."""
+    return S_nt_splits(n, [t], ctx)[0]
 
 
 def S_nt_splits(n: int, ts: Iterable[int], ctx: GoldenCtx) -> list[float]:
-    """``S_nt_split`` for every t in ts, bit-identical to one call per t,
-    with the segment sums of each index s computed in one batched pass."""
-    memo: dict = {}
-    walks = [list(zeckendorf(t, ctx.fibs).segments(ctx.fibs)) for t in ts]
-    _fill_sums(n, walks, ctx, memo)
-    return [math.fsum([memo[(n, s, tail)] for s, tail in walk]) for walk in walks]
+    """S_nt(0) for every t in ts, assembled from its Zeckendorf segments,
 
+        S_nt = sum_s b_s S_{n, F_s}(t_s omega),  t_s = sum_{u > s} b_u F_u,
 
-def _fill_sums(n: int, walks, ctx: GoldenCtx, memo: dict) -> None:
-    """Put every segment sum of walks missing from ``memo`` into it, one
-    orbit pass per segment index s (every such segment has F_s terms)."""
-    missing: dict[int, dict[int, None]] = {}
+    with every segment summed afresh from its own phase t_s omega, and the
+    distinct segment sums of each index s (all F_s terms long) computed in
+    one orbit pass.
+    """
+    walks = [zeckendorf(t).segments() for t in ts]  # ValueError for t < 0
+    tails: dict[int, dict[int, None]] = {}
     for walk in walks:
         for s, tail in walk:
-            if (n, s, tail) not in memo:
-                missing.setdefault(s, {})[tail] = None
-    for s, tails in missing.items():
-        memo.update(zip([(n, s, tail) for tail in tails], _segment_sums(n, s, list(tails), ctx)))
+            tails.setdefault(s, {})[tail] = None
+    sums: dict[tuple[int, int], float] = {}
+    for s, ts_s in tails.items():
+        sums.update(zip([(s, tail) for tail in ts_s], _segment_sums(n, s, list(ts_s), ctx)))
+    return [math.fsum([sums[seg] for seg in walk]) for walk in walks]
 
 
 def _segment_sums(n: int, s: int, tails: list[int], ctx: GoldenCtx) -> list[float]:

@@ -139,9 +139,11 @@ class LogLowerReport:
         return self.worst_margin >= 0.0 and self.root_hi < -0.683
 
 
-def log_lower_check(grid_points: int = 20000) -> LogLowerReport:
-    """Check log(1+x) >= x - x^2 on (-0.683, 10] and bracket the crossover
-    root of log(1+x) - (x - x^2) below -0.683 by bisection."""
+def log_lower_check() -> LogLowerReport:
+    """Check log(1+x) >= x - x^2 on a 20000-point grid over (-0.683, 10] and
+    bracket the crossover root of log(1+x) - (x - x^2) below -0.683 by
+    bisection."""
+    grid_points = 20000
 
     def f(x: float) -> float:
         return math.log1p(x) - (x - x * x)
@@ -170,17 +172,13 @@ def _alpha_mantissa(alpha, ctx: GoldenCtx) -> tuple[int, float]:
     return m, err + 2.0 ** (-ctx.P)
 
 
-def perturbed_product(
-    n: int,
-    alpha,
-    ctx: GoldenCtx,
-    check_factored: bool = False,
-) -> float:
+def perturbed_product(n: int, alpha, ctx: GoldenCtx) -> float:
     """prod_{r=1}^{F_n} |2 sin(pi (r omega + alpha))| for n >= 2 and
     |alpha| <= omega^{n+1}.
 
-    With check_factored=True the factored form P_{F_n} * prod(cos(pi alpha)
-    + cot(pi r omega) sin(pi alpha)) is evaluated as well and must agree.
+    The factored form P_{F_n} * prod(cos(pi alpha) + cot(pi r omega)
+    sin(pi alpha)) is evaluated as well, and the two must agree within
+    their combined error bounds.
     """
     if n < 2:
         raise ValueError("level n must be >= 2 (the bound fails at n = 1)")
@@ -189,13 +187,11 @@ def perturbed_product(
         raise ValueError(f"|alpha| must be <= omega^{n + 1}")
     fn = ctx.fibs.fib(n)
     log_value, err = log_abs_sin_product(fn, ctx, alpha_mantissa=alpha_m, alpha_err=alpha_err)
-    if check_factored:
-        log_fact, err_fact = _log_factored_perturbed(n, alpha_m, ctx)
-        if abs(log_fact - log_value) > err + err_fact + 1e-11:
-            raise PrecisionExhausted(
-                f"perturbed product paths disagree by {abs(log_fact - log_value):.3e} "
-                f"at n={n}"
-            )
+    log_fact, err_fact = _log_factored_perturbed(n, alpha_m, ctx)
+    if abs(log_fact - log_value) > err + err_fact + 1e-11:
+        raise PrecisionExhausted(
+            f"perturbed product paths disagree by {abs(log_fact - log_value):.3e} at n={n}"
+        )
     return math.exp(log_value)
 
 
@@ -263,7 +259,7 @@ def _split_walk(k: int, ctx: GoldenCtx) -> list[tuple[int, int, int]]:
     """
     one = 1 << ctx.P
     walk = []
-    for s, tail in zeckendorf(k, ctx.fibs).segments(ctx.fibs):
+    for s, tail in zeckendorf(k).segments():
         alpha_m = (tail * ctx.omega.mantissa) % one
         if alpha_m > one >> 1:
             alpha_m -= one
@@ -273,27 +269,6 @@ def _split_walk(k: int, ctx: GoldenCtx) -> list[tuple[int, int, int]]:
             )
         walk.append((s, tail, alpha_m))
     return walk
-
-
-def _fill_segments(walks, ctx: GoldenCtx, memo: dict) -> None:
-    """Put every segment factor of walks missing from ``memo`` into it.
-
-    All segments with index s have F_s terms, so they are computed as the
-    rows of one batched product per s.
-    """
-    missing: dict[int, dict[int, int]] = {}
-    for walk in walks:
-        for s, tail, alpha_m in walk:
-            if (s, tail) not in memo:
-                missing.setdefault(s, {})[tail] = alpha_m
-    for s, rows in missing.items():
-        logs = log_abs_sin_product(
-            ctx.fibs.fib(s),
-            ctx,
-            alpha_mantissa=list(rows.values()),
-            alpha_err=[(tail + 1) * 2.0 ** (-ctx.P) for tail in rows],
-        )
-        memo.update(zip([(s, tail) for tail in rows], logs))
 
 
 def _assemble_split(
@@ -318,37 +293,42 @@ def _assemble_split(
 def _split_log(
     k: int, ctx: GoldenCtx, memo: dict | None = None
 ) -> tuple[tuple[SegmentFactor, ...], float, float]:
-    """Zeckendorf segment factors of P_k with their combined log and error.
-
-    ``memo`` (keyed by (s, k_s)) lets bulk scans share segment factors.
-    """
-    memo = {} if memo is None else memo
-    walk = _split_walk(k, ctx)
-    _fill_segments([walk], ctx, memo)
-    return _assemble_split(walk, ctx, memo)
+    """Zeckendorf segment factors of P_k with their combined log and error:
+    the one-k case of ``split_logs``."""
+    return next(split_logs([k], ctx, memo))
 
 
 def split_logs(
     ks: Iterable[int], ctx: GoldenCtx, memo: dict | None = None
 ) -> Iterator[tuple[tuple[SegmentFactor, ...], float, float]]:
-    """``_split_log`` for every k in ks, bit-identical to one call per k.
+    """Zeckendorf segment factors of P_k with their combined log and error,
+    for every k in ks; ``memo`` (keyed by (s, k_s)) lets bulk scans share
+    segment factors.
 
-    The factors missing from ``memo`` are computed first, one batched
-    product per segment index s; the per-k results are then assembled
-    lazily from the memo, so a scan over many k holds one of them at a time.
+    The factors missing from ``memo`` are computed first: all segments
+    with index s have F_s terms, so they are the rows of one batched
+    product per s.  The per-k results are then assembled lazily from the
+    memo, so a scan over many k holds one of them at a time.
     """
     memo = {} if memo is None else memo
     walks = [_split_walk(k, ctx) for k in ks]
-    _fill_segments(walks, ctx, memo)
+    missing: dict[int, dict[int, int]] = {}
+    for walk in walks:
+        for s, tail, alpha_m in walk:
+            if (s, tail) not in memo:
+                missing.setdefault(s, {})[tail] = alpha_m
+    for s, rows in missing.items():
+        logs = log_abs_sin_product(
+            ctx.fibs.fib(s),
+            ctx,
+            alpha_mantissa=list(rows.values()),
+            alpha_err=[(tail + 1) * 2.0 ** (-ctx.P) for tail in rows],
+        )
+        memo.update(zip([(s, tail) for tail in rows], logs))
     return (_assemble_split(walk, ctx, memo) for walk in walks)
 
 
-def split_product(
-    k: int,
-    ctx: GoldenCtx,
-    memo: dict | None = None,
-    check: bool = True,
-) -> SplitProduct:
+def split_product(k: int, ctx: GoldenCtx, memo: dict | None = None) -> SplitProduct:
     """P_k as the product of its Zeckendorf segments,
 
         P_k = prod_s prod_{r=1}^{b_s F_s} |2 sin(pi (r omega + k_s omega))|,
@@ -368,7 +348,7 @@ def split_product(
         direct=direct,
         err=err,
     )
-    if check and abs(log_value - direct.log_value) > err + direct.err + 1e-11:
+    if abs(log_value - direct.log_value) > err + direct.err + 1e-11:
         raise PrecisionExhausted(
             f"split/direct disagreement {abs(log_value - direct.log_value):.3e} at k={k}"
         )

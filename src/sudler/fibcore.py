@@ -2,6 +2,10 @@
 
 Indexing convention: F_0 = 0, F_1 = F_2 = 1, F_{n+1} = F_n + F_{n-1}.
 All arithmetic is exact (Python big integers).
+
+F_n does not depend on any working precision, so the package keeps one
+table, the module-level ``TABLE``: every function here reads it, and every
+``GoldenCtx`` hands it out as ``ctx.fibs``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "FibTable",
+    "TABLE",
     "ZeckRep",
     "fib",
     "fib_floor",
@@ -83,17 +88,24 @@ class FibTable:
             assert (f(n) % 2 == 0) == (n % 3 == 0), f"parity rule fails at {n}"
 
 
-_TABLE = FibTable()
+TABLE = FibTable()
 
 
-def fib(n: int, table: FibTable | None = None) -> int:
+def _values(n: int) -> list[int]:
+    """TABLE's value list, extended to cover index n, for loops that read
+    many entries without a method call each."""
+    TABLE.fib(n)
+    return TABLE._values
+
+
+def fib(n: int) -> int:
     """F_n for n >= 0."""
-    return (table or _TABLE).fib(n)
+    return TABLE.fib(n)
 
 
-def fib_floor(n: int, table: FibTable | None = None) -> tuple[int, int]:
+def fib_floor(n: int) -> tuple[int, int]:
     """The Fibonacci floor of n: largest F_i <= n, as (index, value)."""
-    return (table or _TABLE).floor(n)
+    return TABLE.floor(n)
 
 
 @dataclass(frozen=True)
@@ -119,27 +131,27 @@ class ZeckRep:
         """Indices s with b_s = 1, in decreasing order."""
         return tuple(s for s in range(self.m, 0, -1) if self.bits[s - 1])
 
-    def segments(self, table: FibTable | None = None) -> list[tuple[int, int]]:
+    def segments(self) -> list[tuple[int, int]]:
         """(s, n_s) for each index s with b_s = 1, in decreasing order, where
         n_s = sum_{u > s} b_u F_u is the part of n above segment s."""
-        t = table or _TABLE
+        values = _values(self.m)
         out = []
         tail = 0
         for s in self.indices():
             out.append((s, tail))
-            tail += t.fib(s)
+            tail += values[s]
         return out
 
-    def value(self, table: FibTable | None = None) -> int:
-        t = table or _TABLE
-        return sum(t.fib(s) for s in self.indices())
+    def value(self) -> int:
+        values = _values(self.m)
+        return sum(values[s] for s in self.indices())
 
     def bit(self, s: int) -> int:
         """b_s, defined as 0 beyond the top index."""
         return self.bits[s - 1] if 1 <= s <= self.m else 0
 
 
-def zeckendorf(n: int, table: FibTable | None = None) -> ZeckRep:
+def zeckendorf(n: int) -> ZeckRep:
     """Greedy decomposition of n >= 0 into non-adjacent Fibonacci numbers.
 
     Takes the Fibonacci floor F_m of n once, then walks the indices down
@@ -150,9 +162,8 @@ def zeckendorf(n: int, table: FibTable | None = None) -> ZeckRep:
     """
     if n < 0:
         raise ValueError(f"zeckendorf requires n >= 0, got {n}")
-    t = table or _TABLE
-    i, _v = t.floor(n)
-    values = t._values  # floor() has extended the table past n
+    i, _v = TABLE.floor(n)
+    values = TABLE._values  # floor() has extended the table past n
     bits = [0] * i
     remaining = n
     while remaining:
@@ -181,15 +192,14 @@ def fib_length_bounds(n: int) -> tuple[int, int]:
     )
 
 
-def fib_mod_inverse(n: int, table: FibTable | None = None) -> int:
+def fib_mod_inverse(n: int) -> int:
     """The inverse of F_{n-1} modulo F_n, namely [(-1)^n F_{n-1}] mod F_n.
 
     For n = 1, 2 the modulus is 1 and the inverse is 0 by convention.
     """
     if n < 1:
         raise ValueError(f"fib_mod_inverse requires n >= 1, got {n}")
-    t = table or _TABLE
-    fn = t.fib(n)
+    fn = TABLE.fib(n)
     if fn == 1:
         return 0
-    return ((-1) ** n * t.fib(n - 1)) % fn
+    return ((-1) ** n * TABLE.fib(n - 1)) % fn

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._engine import neumaier
 from .errors import PrecisionExhausted, PrecisionTooLow
-from .fibcore import FibTable
+from .fibcore import TABLE, FibTable
 
 __all__ = [
     "FixedFrac",
@@ -113,7 +113,8 @@ def _isqrt_scaled(m: int, bits: int) -> int:
 
 @dataclass
 class GoldenCtx:
-    """Immutable working context: precision, omega, cached powers of omega.
+    """Working context: precision and omega, with a lazily filled cache of
+    the powers of omega.
 
     ``powers[n]`` (n >= 1) is built from the exact identity
     omega^n = |F_{n-1} - F_n omega|, so the only error in the cache is the
@@ -122,17 +123,17 @@ class GoldenCtx:
 
     P: int
     omega: FixedFrac
-    fibs: FibTable = field(repr=False)
-    _pow_mantissa: list[int] = field(repr=False)
-    _pow_float: list[float] = field(repr=False)
+    _pow_mantissa: list[int] = field(default_factory=lambda: [0], init=False, repr=False)
+    _pow_float: list[float] = field(default_factory=lambda: [0.0], init=False, repr=False)
+
+    @property
+    def fibs(self) -> FibTable:
+        """The package's one Fibonacci table, ``fibcore.TABLE``."""
+        return TABLE
 
     @property
     def mask(self) -> int:
         return (1 << self.P) - 1
-
-    @property
-    def half(self) -> int:
-        return 1 << (self.P - 1)
 
     @property
     def omega_float(self) -> float:
@@ -144,7 +145,7 @@ class GoldenCtx:
         one = 1 << self.P
         while len(mant) <= n:
             k = len(mant)
-            d = self.fibs.fib(k - 1) * one - self.fibs.fib(k) * w
+            d = TABLE.fib(k - 1) * one - TABLE.fib(k) * w
             m = d if k % 2 == 0 else -d
             mant.append(m)
             self._pow_float.append(m / one)
@@ -170,11 +171,7 @@ class GoldenCtx:
         return (1 << self.P) if n == 0 else self._pow_mantissa[n]
 
 
-def make_ctx(
-    P: int = DEFAULT_PRECISION_BITS,
-    n_max: int = 64,
-    fibs: FibTable | None = None,
-) -> GoldenCtx:
+def make_ctx(P: int = DEFAULT_PRECISION_BITS) -> GoldenCtx:
     """Build a golden-rotation context at P fractional bits (P >= 64).
 
     omega = (sqrt(5) - 1)/2 is realized by an exact integer square root
@@ -190,15 +187,7 @@ def make_ctx(
     w_guard = num >> 1
     w = (w_guard + (1 << (guard - 1))) >> guard
     err = Fraction(1, 1 << P)  # covers isqrt floor + the two roundings
-    ctx = GoldenCtx(
-        P=P,
-        omega=FixedFrac(w, P, err),
-        fibs=fibs or FibTable(),
-        _pow_mantissa=[0],
-        _pow_float=[0.0],
-    )
-    ctx._extend_powers(max(n_max, 1))
-    return ctx
+    return GoldenCtx(P=P, omega=FixedFrac(w, P, err))
 
 
 def frac_r_omega(r: int, ctx: GoldenCtx) -> FixedFrac:

@@ -184,9 +184,8 @@ def log_abs_sin_product(
     ctx: GoldenCtx,
     alpha_mantissa=0,
     alpha_err=0.0,
-    start_r: int = 0,
 ):
-    """(log, err) of prod_{r=start_r+1}^{start_r+count} |2 sin(pi(r omega + alpha))|.
+    """(log, err) of prod_{r=1}^{count} |2 sin(pi(r omega + alpha))|.
 
     alpha enters as a signed mantissa in units of 2^-P.  Given a sequence of
     mantissas (rows) and a scalar or one alpha_err per row, it returns a
@@ -205,9 +204,9 @@ def log_abs_sin_product(
     P = ctx.P
     w = ctx.omega.mantissa
     one = 1 << P
-    ang_err = (start_r + count + 1) * 2.0 ** (-P) + np.asarray(alpha_err, dtype=np.float64)
+    ang_err = (count + 1) * 2.0 ** (-P) + np.asarray(alpha_err, dtype=np.float64)
     jobs = [
-        ([((start_r + s) * w + a) % one for a in alphas], w, P, cnt, ang_err)
+        ([(s * w + a) % one for a in alphas], w, P, cnt, ang_err)
         for s, cnt in block_spans(count)
     ]
     blocks = map_blocks(log2sin_block, jobs)

@@ -149,7 +149,7 @@ def check_omega_constants(cfg: _Cfg) -> CheckResult:
 def check_frac_error_model(cfg: _Cfg) -> CheckResult:
     """frac_r_omega at the working precision vs a 512-bit context."""
     ctx = cfg.ctx
-    oracle = make_ctx(512, n_max=2, fibs=ctx.fibs)
+    oracle = make_ctx(512)
     rs = [fc.fib(i) for i in range(3, 41)] + [10**k for k in range(1, 8)]
     worst = 0.0
     for r in rs:

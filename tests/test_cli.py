@@ -97,6 +97,9 @@ def test_scan_refusal_names_float64_rounding(tmp_path, capsys):
 
 def test_precision_too_low_is_argument_error():
     assert cli.run(["q", "5", "--precision", "16"]) == 2
+    # commands that need no omega reject it too
+    assert cli.run(["fib", "5", "--precision", "32"]) == 2
+    assert cli.run(["zeck", "7", "--precision", "32"]) == 2
 
 
 def test_env_var_precision(monkeypatch):

@@ -22,6 +22,7 @@ from sudler import (
     xi_inf,
     xi_n,
 )
+from sudler import fibcore
 from sudler.goldenangle import two_sin_pi
 
 mpmath.mp.dps = 80
@@ -58,6 +59,11 @@ class TestMakeCtx:
     def test_minimum_precision_enforced(self):
         with pytest.raises(PrecisionTooLow):
             make_ctx(32)
+
+    def test_one_fibonacci_table(self):
+        ctx = make_ctx(64)
+        assert ctx.fibs is make_ctx(192).fibs
+        assert all(fibcore.fib(n) == ctx.fibs.fib(n) for n in range(101))
 
     def test_against_mpmath(self, ctx):
         assert abs(ctx.omega_float - float(MP_OMEGA)) < 1e-15
