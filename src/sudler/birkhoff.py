@@ -23,8 +23,6 @@ __all__ = [
     "SumSeries",
     "CotSum",
     "sum_series",
-    "S_nt",
-    "S_nt_split",
     "S_nt_splits",
     "frac_sum_convergent",
     "discrepancy_scan",
@@ -95,31 +93,6 @@ def sum_series(n: int, t_max: int, theta, ctx: GoldenCtx) -> SumSeries:
     ang_err = (t_max + 2) * 2.0 ** (-ctx.P) + orbit_err(ctx.P)
     err = t_max * (4.0 * _EPS * pw + ang_err * (math.pi * pw))
     return SumSeries(n=n, theta=float(theta), values=tuple(values), err=err)
-
-
-def S_nt(n: int, t: int, theta, ctx: GoldenCtx, check_split: bool = False) -> float:
-    """S_nt(theta) by direct summation.
-
-    With check_split=True (theta = 0 only) the Zeckendorf-split evaluation
-    is computed as well and the two values must agree to 1e-12.
-    """
-    series = sum_series(n, t, theta, ctx)
-    value = series.values[-1] if t > 0 else 0.0
-    if check_split:
-        if Fraction(theta) % 1 != 0:
-            raise ValueError("the Zeckendorf split applies to theta = 0")
-        split = S_nt_split(n, t, ctx)
-        if abs(split - value) > 1e-12:
-            raise PrecisionExhausted(
-                f"direct/split disagreement {abs(split - value):.3e} at n={n}, t={t}"
-            )
-    return value
-
-
-def S_nt_split(n: int, t: int, ctx: GoldenCtx) -> float:
-    """S_nt(0) assembled from its Zeckendorf segments: the one-t case of
-    ``S_nt_splits``."""
-    return S_nt_splits(n, [t], ctx)[0]
 
 
 def S_nt_splits(n: int, ts: Iterable[int], ctx: GoldenCtx) -> list[float]:
@@ -309,23 +282,42 @@ def birkhoff_S(k: int, ctx: GoldenCtx) -> float:
 # ---------------------------------------------------------------------------
 
 
-def lagrange_sin_sum(theta: float, x: float, n: int) -> float:
-    """Closed form of sum_{k=1}^{n} sin(theta + k x); x must avoid 2 pi Z."""
-    s = math.sin(0.5 * x)
-    if s == 0.0:
-        raise ValueError("singular angle: x is a multiple of 2*pi")
-    return (math.cos(theta + 0.5 * x) - math.cos(theta + (n + 0.5) * x)) / (2.0 * s)
+def _red(numerator: int, shift: int) -> float:
+    """numerator / 2^shift reduced modulo 2, exactly: only the integer
+    reduction happens before the one rounding to float."""
+    return float(numerator & ((1 << (shift + 1)) - 1)) * 2.0**-shift
 
 
-def lagrange_k_sin_sum(theta: float, x: float, n: int) -> float:
-    """Closed form of the weighted sum sum_{k=1}^{n} k sin(theta + k x)."""
-    s = math.sin(0.5 * x)
-    if s == 0.0:
-        raise ValueError("singular angle: x is a multiple of 2*pi")
+def _dyadic(q: float) -> tuple[int, int]:
+    """q = qm / 2^shift exactly (a float is a dyadic rational); rejects
+    q = 0 (mod 2), where x = pi q is a multiple of 2 pi, in integers."""
+    qm, den = float(q).as_integer_ratio()
+    if qm & (2 * den - 1) == 0:
+        raise ValueError("singular angle: x = pi q is a multiple of 2*pi")
+    return qm, den.bit_length() - 1
+
+
+def lagrange_sin_sum(theta: float, q: float, n: int) -> float:
+    """Closed form of sum_{k=1}^{n} sin(theta + k x) at x = pi q, q not in 2Z.
+
+    Every multiple of q is reduced modulo 2 in integers before pi
+    multiplies it, so no phase loses accuracy to large-argument rounding.
+    """
+    qm, shift = _dyadic(q)
+    half_x = math.pi * _red(qm, shift + 1)
+    end_x = math.pi * _red((2 * n + 1) * qm, shift + 1)
+    return (math.cos(theta + half_x) - math.cos(theta + end_x)) / (2.0 * math.sin(half_x))
+
+
+def lagrange_k_sin_sum(theta: float, q: float, n: int) -> float:
+    """Closed form of the weighted sum sum_{k=1}^{n} k sin(theta + k x) at
+    x = pi q, with the phases reduced as in ``lagrange_sin_sum``."""
+    qm, shift = _dyadic(q)
+    s = math.sin(math.pi * _red(qm, shift + 1))
     num = (
-        math.sin(theta + n * x)
+        math.sin(theta + math.pi * _red(n * qm, shift))
         - math.sin(theta)
-        - 2.0 * n * math.cos(theta + (n + 0.5) * x) * s
+        - 2.0 * n * math.cos(theta + math.pi * _red((2 * n + 1) * qm, shift + 1)) * s
     )
     return num / (4.0 * s * s)
 
@@ -374,34 +366,20 @@ def identity_suite(
         u = rng.uniform(0.1, 0.3, size=size)
         return u * rng.choice([-1.0, 1.0], size=size)
 
-    def red(numerator: int, shift: int) -> float:
-        # exact reduction of numerator/2^shift modulo 2
-        return float(numerator & ((1 << (shift + 1)) - 1)) * 2.0**-shift
-
     for n in range(2, n_max + 1):
         r = np.arange(n)
-        # Lagrange sums at x = pi q for dyadic q; every phase theta + k x is
-        # reduced mod 2 pi through exact integer arithmetic on q's mantissa,
-        # so neither side loses accuracy to large-argument rounding.
+        # Lagrange sums at x = pi q for dyadic q = qm / 2^52; every phase
+        # theta + k x is reduced mod 2 pi through exact integer arithmetic
+        # on qm, on both sides.
         for _ in range(phis_per_n):
             theta = rng.uniform(0.0, 2.0 * math.pi)
             qm = int(rng.integers(int(0.064 * 2**52), int(1.936 * 2**52)))
-            terms = [math.sin(theta + math.pi * red(k * qm, 52)) for k in range(1, n + 1)]
+            terms = [math.sin(theta + math.pi * _red(k * qm, 52)) for k in range(1, n + 1)]
             direct = math.fsum(terms)
             direct_k = math.fsum(k * t for k, t in zip(range(1, n + 1), terms))
-            half_x = math.pi * (qm * 2.0**-53)
-            s = math.sin(half_x)
-            closed = (
-                math.cos(theta + half_x)
-                - math.cos(theta + math.pi * red((2 * n + 1) * qm, 53))
-            ) / (2.0 * s)
-            closed_k = (
-                math.sin(theta + math.pi * red(n * qm, 52))
-                - math.sin(theta)
-                - 2.0 * n * math.cos(theta + math.pi * red((2 * n + 1) * qm, 53)) * s
-            ) / (4.0 * s * s)
-            record("sin-sum-closed-form", _dev(direct, closed), n)
-            record("weighted-sin-sum-closed-form", _dev(direct_k, closed_k), n)
+            q = qm * 2.0**-52
+            record("sin-sum-closed-form", _dev(direct, lagrange_sin_sum(theta, q, n)), n)
+            record("weighted-sin-sum-closed-form", _dev(direct_k, lagrange_k_sin_sum(theta, q, n)), n)
         # shifted products/sums on the pi/n grid
         for u in rand_u(phis_per_n):
             phi = (math.pi / n) * (0.5 + u)

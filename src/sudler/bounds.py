@@ -328,7 +328,7 @@ def split_logs(
     return (_assemble_split(walk, ctx, memo) for walk in walks)
 
 
-def split_product(k: int, ctx: GoldenCtx, memo: dict | None = None) -> SplitProduct:
+def split_product(k: int, ctx: GoldenCtx) -> SplitProduct:
     """P_k as the product of its Zeckendorf segments,
 
         P_k = prod_s prod_{r=1}^{b_s F_s} |2 sin(pi (r omega + k_s omega))|,
@@ -338,7 +338,7 @@ def split_product(k: int, ctx: GoldenCtx, memo: dict | None = None) -> SplitProd
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    segments, log_value, err = _split_log(k, ctx, memo)
+    segments, log_value, err = _split_log(k, ctx)
     direct = sudler_P(k, ctx)
     result = SplitProduct(
         k=k,

@@ -50,12 +50,6 @@ class FibTable:
             values.append(values[-1] + values[-2])
         return values[n]
 
-    def __getitem__(self, n: int) -> int:
-        return self.fib(n)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
     def floor(self, n: int) -> tuple[int, int]:
         """Largest F_i <= n as (index, value), highest index on ties.
 

@@ -3,8 +3,8 @@
 The angle engine keeps every fractional part as an integer mantissa of P
 bits, so {r*omega} is computed exactly as (r*W) mod 2^P where W is the
 rounded mantissa of omega.  Transcendental evaluations round the exact
-mantissa to a float64 hi/lo pair; every public quantity carries, or can
-bound, the absolute error this introduces.
+mantissa to float64; every public quantity carries, or can bound, the
+absolute error this introduces.
 
 Also defined here: the derived sequences
 
@@ -12,8 +12,6 @@ Also defined here: the derived sequences
     xi_nt = [t F_{n-1}]/F_n - 1/2   (0 when t = 0 mod F_n)
     xi_inf_t = {t omega} - 1/2
     h_nt  = cot(pi t / F_n) sin(pi omega^n xi_nt)
-
-and generalized sums/products with real (possibly fractional) bounds.
 """
 
 from __future__ import annotations
@@ -21,27 +19,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
 
-import numpy as np
-
-from ._engine import neumaier
 from .errors import PrecisionExhausted, PrecisionTooLow
 from .fibcore import TABLE, FibTable
 
 __all__ = [
     "FixedFrac",
     "GoldenCtx",
-    "SeqTerm",
     "make_ctx",
     "frac_r_omega",
     "xi_inf",
     "xi_n",
     "s_nt",
     "h_nt",
-    "seq_term",
-    "gen_sum",
-    "gen_prod",
     "two_sin_pi",
 ]
 
@@ -51,8 +41,6 @@ DEFAULT_PRECISION_BITS = 192
 # Any tracked absolute error reaching 2^-16 means the representation no
 # longer carries usable information.
 _ERR_CEILING = Fraction(1, 1 << 16)
-
-Real = Union[int, float, Fraction]
 
 
 @dataclass(frozen=True)
@@ -79,31 +67,6 @@ class FixedFrac:
 
     def to_float(self) -> float:
         return self.mantissa / (1 << self.bits)
-
-    @property
-    def value(self) -> float:
-        return self.to_float()
-
-    def hi_lo(self) -> tuple[float, float]:
-        """Round to a float64 pair (hi, lo) with hi + lo within 2^-107-ish
-        of the stored value."""
-        return _mantissa_hi_lo(self.mantissa, self.bits)
-
-
-def _mantissa_hi_lo(u: int, bits: int) -> tuple[float, float]:
-    if bits <= 53:
-        return (u / (1 << bits), 0.0)
-    sh = bits - 53
-    top = u >> sh
-    hi = top * 2.0**-53
-    rem = u - (top << sh)
-    # second limb: up to 54 more bits of the remainder
-    if sh <= 54:
-        lo = rem * 2.0**-bits
-    else:
-        sh2 = sh - 54
-        lo = (rem >> sh2) * 2.0 ** -(53 + 54)
-    return (hi, lo)
 
 
 def _isqrt_scaled(m: int, bits: int) -> int:
@@ -149,14 +112,6 @@ class GoldenCtx:
             m = d if k % 2 == 0 else -d
             mant.append(m)
             self._pow_float.append(m / one)
-
-    def omega_pow(self, n: int) -> FixedFrac:
-        """omega^n as a FixedFrac, n >= 1."""
-        if n < 1:
-            raise ValueError("omega_pow is defined for n >= 1")
-        self._extend_powers(n)
-        err = Fraction(self.fibs.fib(n), 1 << self.P)
-        return FixedFrac(self._pow_mantissa[n], self.P, err)
 
     def omega_pow_float(self, n: int) -> float:
         if n < 1:
@@ -274,95 +229,3 @@ def h_nt(n: int, t: int, ctx: GoldenCtx) -> float:
     u = math.pi * (tr / fn)
     cot = sign * math.cos(u) / math.sin(u)
     return cot * math.sin(math.pi * z)
-
-
-@dataclass(frozen=True)
-class SeqTerm:
-    """One row of the derived sequences at level n, index t."""
-
-    n: int
-    t: int
-    s: float
-    xi: Fraction
-    h: float | None
-
-
-def seq_term(n: int, t: int, ctx: GoldenCtx) -> SeqTerm:
-    fn = ctx.fibs.fib(n)
-    defined = t % fn != 0
-    return SeqTerm(
-        n=n,
-        t=t,
-        s=s_nt(n, t, ctx),
-        xi=xi_n(n, t, ctx),
-        h=h_nt(n, t, ctx) if defined else None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Generalized sums and products with real bounds
-# ---------------------------------------------------------------------------
-
-
-def _as_fraction(x: Real) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _gen_parts(lower: Real, upper: Real):
-    """Split sum_{r=lower}^{upper} with real bounds into boundary cells and
-    a full-weight integer range.
-
-    The range is the step-function integral over (lower - 1, upper]: an
-    upper bound y = k + f with 0 < f < 1 contributes the boundary term
-    a_{k+1} with weight f, matching sum_{1}^{(2k+1)/2} a_r =
-    sum_{1}^{k} a_r + a_{k+1}/2.  Returns None for an empty range
-    (upper < lower), else (boundaries, full_start, full_end) with
-    boundaries a list of (r, weight) pairs.
-    """
-    lo = _as_fraction(lower)
-    hi = _as_fraction(upper)
-    if hi < lo:
-        return None
-    r0 = math.floor(lo)
-    r1 = math.ceil(hi)
-    boundaries: list[tuple[int, float]] = []
-    full_start, full_end = r0, r1
-    if lo != r0:
-        boundaries.append((r0, float(1 - (lo - r0))))
-        full_start = r0 + 1
-    if hi != r1:
-        full_end = r1 - 1
-        boundaries.append((r1, float(hi - (r1 - 1))))
-    return boundaries, full_start, full_end
-
-
-def gen_sum(series: Callable[[int], float], lower: Real, upper: Real) -> float:
-    """Generalized sum sum_{r=lower}^{upper} series(r) with real bounds;
-    integer bounds reduce to the ordinary sum, an empty range to 0."""
-    parts = _gen_parts(lower, upper)
-    if parts is None:
-        return 0.0
-    boundaries, full_start, full_end = parts
-    rs = range(full_start, full_end + 1)
-    total = comp = 0.0
-    if rs:
-        run_s, run_c = neumaier(np.fromiter(map(series, rs), np.float64, len(rs)), 0.0, 0.0)
-        total, comp = float(run_s[-1]), float(run_c[-1])
-    for r, w in boundaries:
-        total += w * series(r)
-    return total + comp
-
-
-def gen_prod(series: Callable[[int], float], lower: Real, upper: Real) -> float:
-    """Generalized product: exp of the generalized sum of log-terms, so a
-    fractional upper bound raises the boundary term to the fractional
-    power.  An empty range gives 1; nonpositive terms raise ValueError.
-    """
-
-    def log_term(r: int) -> float:
-        a = series(r)
-        if a <= 0.0:
-            raise ValueError(f"gen_prod requires positive terms; series({r}) = {a}")
-        return math.log(a)
-
-    return math.exp(gen_sum(log_term, lower, upper))

@@ -7,8 +7,8 @@ splitting
     B_n = prod_{t=1}^{F_n - 1} s_nt / (2 sin(pi t / F_n)),
     C_n = prod_{t=1}^{F_n / 2} (1 - s_n0^2 / s_nt^2),
 
-where C_n uses the generalized product (half-exponent boundary term when
-F_n is even) and the limiting square-correction product
+where the midpoint t = F_n/2 of C_n (F_n even) is a half-weight term,
+and the limiting square-correction product
 
     U(T) = prod_{t=1}^{T} (1 - 1/u_t^2),
     u_t  = 2 sqrt(5) (t - ({t omega} - 1/2)/sqrt(5)).
@@ -493,10 +493,9 @@ def C_n(n: int, ctx: GoldenCtx) -> float:
     """Square-correction product over half a period of s_nt, the exact
     square root of prod_{t=1}^{F_n-1} (1 - s_n0^2 / s_nt^2).
 
-    Realized as the generalized product with upper bound (F_n - 1)/2: the
-    s_{n, F_n - t} = s_nt symmetry pairs the full range into two copies of
-    t = 1..(F_n-1)/2, with the self-paired midpoint t = F_n/2 (even F_n)
-    carrying exponent 1/2.  Empty (=1) for n = 1, 2; in (0, 1) for n >= 3.
+    The s_{n, F_n - t} = s_nt symmetry pairs the full range into two
+    copies of t = 1..(F_n-1)/2, and the self-paired midpoint t = F_n/2
+    (even F_n) enters as a half-weight log-term.  Empty (=1) for n = 1, 2; in (0, 1) for n >= 3.
     """
     if n < 1:
         raise ValueError("level n must be >= 1")

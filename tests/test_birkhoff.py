@@ -7,8 +7,6 @@ import mpmath
 import pytest
 
 from sudler import (
-    S_nt,
-    S_nt_split,
     S_nt_splits,
     birkhoff_S,
     cot2_sum,
@@ -29,7 +27,8 @@ MP_OMEGA = (mpmath.sqrt(5) - 1) / 2
 
 class TestPartialSums:
     def test_empty_sum(self, ctx):
-        assert S_nt(9, 0, 0.0, ctx) == 0.0
+        assert sum_series(9, 0, 0.0, ctx).values == ()
+        assert S_nt_splits(9, [0], ctx) == [0.0]
 
     def test_increments_match_definition(self, ctx):
         from sudler import frac_r_omega
@@ -45,21 +44,16 @@ class TestPartialSums:
     def test_direct_vs_split(self, ctx):
         for n in (6, 10):
             fn = ctx.fibs.fib(n)
-            for t in range(1, fn):
-                direct = S_nt(n, t, 0.0, ctx)
-                split = S_nt_split(n, t, ctx)
-                assert abs(direct - split) < 1e-12
+            direct = sum_series(n, fn - 1, 0.0, ctx).values
+            split = S_nt_splits(n, range(1, fn), ctx)
+            for d, s in zip(direct, split, strict=True):
+                assert abs(d - s) < 1e-12
 
     def test_batched_split_is_bit_identical(self, ctx):
         n = 12
         ts = range(ctx.fibs.fib(n))
-        want = [S_nt_split(n, t, ctx).hex() for t in ts]
+        want = [S_nt_splits(n, [t], ctx)[0].hex() for t in ts]
         assert [v.hex() for v in S_nt_splits(n, ts, ctx)] == want
-
-    def test_check_split_flag(self, ctx):
-        S_nt(10, 100, 0.0, ctx, check_split=True)
-        with pytest.raises(ValueError):
-            S_nt(10, 100, 0.25, ctx, check_split=True)
 
     def test_growth_bound(self, ctx):
         for n in (12, 16):
@@ -75,7 +69,7 @@ class TestPartialSums:
         for r in range(1, t + 1):
             x = theta + r * MP_OMEGA
             want += mpmath.sin(mpmath.pi * MP_OMEGA**n * (x - mpmath.floor(x) - mpmath.mpf(1) / 2))
-        assert abs(S_nt(n, t, theta, ctx) - float(want)) < 1e-14
+        assert abs(sum_series(n, t, theta, ctx).values[-1] - float(want)) < 1e-14
 
 
 class TestDiscrepancy:
@@ -152,16 +146,27 @@ def test_birkhoff_sum_is_twice_log(ctx):
 
 class TestLagrange:
     def test_hand_values(self):
-        # theta=0, x=pi/2, n=2: sin(pi/2) + sin(pi) = 1
-        assert abs(lagrange_sin_sum(0.0, math.pi / 2, 2) - 1.0) < 1e-15
-        # k-weighted: theta=0, x=pi, n=1: 1*sin(pi) = 0
-        assert abs(lagrange_k_sin_sum(0.0, math.pi, 1)) < 1e-15
+        # theta=0, x=pi/2 (q=1/2), n=2: sin(pi/2) + sin(pi) = 1
+        assert abs(lagrange_sin_sum(0.0, 0.5, 2) - 1.0) < 1e-15
+        # k-weighted: theta=0, x=pi (q=1), n=1: 1*sin(pi) = 0
+        assert abs(lagrange_k_sin_sum(0.0, 1.0, 1)) < 1e-15
 
     def test_singular_angle_rejected(self):
-        with pytest.raises(ValueError):
-            lagrange_sin_sum(0.1, 0.0, 5)
-        with pytest.raises(ValueError):
-            lagrange_k_sin_sum(0.1, 0.0, 5)
+        # q = 2 is singular although sin(pi) = 1.2e-16 in float64
+        for q in (0.0, 2.0):
+            with pytest.raises(ValueError):
+                lagrange_sin_sum(0.1, q, 5)
+            with pytest.raises(ValueError):
+                lagrange_k_sin_sum(0.1, q, 5)
+
+    def test_large_n_against_mpmath(self):
+        theta, q, n = 0.3, 0.7 + 2.0**-40, 2000
+        x = mpmath.pi * mpmath.mpf(q)
+        k = range(1, n + 1)
+        want = mpmath.fsum(mpmath.sin(theta + j * x) for j in k)
+        want_k = mpmath.fsum(j * mpmath.sin(theta + j * x) for j in k)
+        assert abs(lagrange_sin_sum(theta, q, n) - want) < 1e-11
+        assert abs(lagrange_k_sin_sum(theta, q, n) - want_k) < 1e-11
 
     def test_random_against_direct(self):
         import random
@@ -170,9 +175,10 @@ class TestLagrange:
         for _ in range(100):
             n = rng.randint(1, 50)
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            x = rng.uniform(0.2, 2.0)
-            assert abs(lagrange_sin_sum(theta, x, n) - direct_sin_sum(theta, x, n)) < 1e-12
-            assert abs(lagrange_k_sin_sum(theta, x, n) - direct_k_sin_sum(theta, x, n)) < 1e-12
+            q = rng.uniform(0.2, 2.0) / math.pi
+            x = math.pi * q
+            assert abs(lagrange_sin_sum(theta, q, n) - direct_sin_sum(theta, x, n)) < 1e-12
+            assert abs(lagrange_k_sin_sum(theta, q, n) - direct_k_sin_sum(theta, x, n)) < 1e-12
 
 
 class TestIdentitySuite:

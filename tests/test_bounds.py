@@ -139,9 +139,8 @@ class TestSplit:
             assert abs(seg.alpha) < ctx.omega_pow_float(seg.s + 1) + 1e-15
 
     def test_agreement_sampled(self, ctx):
-        memo = {}
         for k in (2, 33, 777, 4181, 9999):
-            sp = split_product(k, ctx, memo=memo)
+            sp = split_product(k, ctx)
             assert abs(sp.rel_residual) < 1e-10
 
 

@@ -1,6 +1,5 @@
-"""Fixed-point omega, fractional parts, derived sequences, generalized sums."""
+"""Fixed-point omega, fractional parts, derived sequences."""
 
-import math
 from fractions import Fraction
 
 import mpmath
@@ -13,12 +12,9 @@ from sudler import (
     PrecisionTooLow,
     FixedFrac,
     frac_r_omega,
-    gen_prod,
-    gen_sum,
     h_nt,
     make_ctx,
     s_nt,
-    seq_term,
     xi_inf,
     xi_n,
 )
@@ -79,11 +75,6 @@ class TestFixedFrac:
     def test_error_ceiling(self):
         with pytest.raises(PrecisionExhausted):
             FixedFrac(1, 64, Fraction(1, 1 << 10))
-
-    def test_hi_lo_reconstruction(self, ctx):
-        f = frac_r_omega(12345, ctx)
-        hi, lo = f.hi_lo()
-        assert abs((hi + lo) - f.to_float()) < 1e-30 + abs(f.to_float()) * 1e-16
 
 
 class TestFracROmega:
@@ -183,15 +174,6 @@ class TestHnt:
             assert abs(h_nt(n, t, ctx) - want) < 1e-14
 
 
-def test_seq_term_bundle(ctx):
-    term = seq_term(6, 4, ctx)
-    assert term.h == 0.0
-    assert term.s == s_nt(6, 4, ctx)
-    term0 = seq_term(6, 8, ctx)
-    assert term0.h is None
-    assert term0.xi == 0
-
-
 class TestTwoSinPi:
     @given(
         st.fractions(min_value=-4, max_value=4),
@@ -202,58 +184,3 @@ class TestTwoSinPi:
         got = two_sin_pi(q, delta)
         want = float(2 * mpmath.sin(mpmath.pi * (mpmath.mpf(q.numerator) / q.denominator + mpmath.mpf(delta))))
         assert abs(got - want) < 1e-13
-
-
-class TestGenSumProd:
-    def test_half_integer_upper_bound(self):
-        # sum_{1}^{(2k+1)/2} a_r = sum_{1}^{k} a_r + a_{k+1}/2
-        a = [0.0, 1.5, -2.25, 4.0, 8.125]
-
-        def f(r):
-            return a[r]
-
-        k = 1
-        got = gen_sum(f, 1, Fraction(2 * k + 1, 2))
-        assert got == a[1] + a[2] / 2
-
-    def test_integer_bounds_are_ordinary_sum(self):
-        got = gen_sum(lambda r: r * r, 2, 5)
-        assert got == 4 + 9 + 16 + 25
-
-    def test_empty_when_upper_below_lower(self):
-        assert gen_sum(lambda r: 1.0, 1, Fraction(1, 2)) == 0.0
-        assert gen_prod(lambda r: 7.0, 1, Fraction(1, 2)) == 1.0
-
-    def test_prod_three_halves(self):
-        got = gen_prod(lambda r: [0.0, 2.0, 9.0][r], 1, Fraction(3, 2))
-        assert abs(got - 2.0 * 3.0) < 1e-12  # a_1 * a_2^(1/2)
-
-    def test_prod_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gen_prod(lambda r: -1.0, 1, 3)
-
-    def test_prod_names_first_nonpositive_term(self):
-        with pytest.raises(ValueError, match=r"series\(3\) = 0\.0"):
-            gen_prod(lambda r: 1.0 if r < 3 else 0.0, 1, 5)
-        with pytest.raises(ValueError, match=r"series\(4\)"):
-            gen_prod(lambda r: 1.0 if r < 4 else -1.0, 1, Fraction(7, 2))
-
-    def test_sum_matches_scalar_neumaier(self):
-        vals = [(-1.0) ** r * 10.0 ** (r % 17 - 8) for r in range(1, 20001)]
-        total = comp = 0.0
-        for v in vals:
-            t = total + v
-            comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
-            total = t
-        assert gen_sum(lambda r: vals[r - 1], 1, len(vals)) == total + comp
-
-    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=-5, max_value=5))
-    @settings(max_examples=100, deadline=None)
-    def test_integer_bounds_property(self, length, lo):
-        vals = [math.sin(3.7 * i) for i in range(lo, lo + length + 1)]
-
-        def f(r):
-            return vals[r - lo]
-
-        hi = lo + length
-        assert abs(gen_sum(f, lo, hi) - math.fsum(vals)) < 1e-12
