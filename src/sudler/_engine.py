@@ -33,9 +33,15 @@ Work is cut into fixed blocks of BLOCK terms, evaluated one after another
 in index order.  Blocks are pure functions of their start index, and the
 merge is math.fsum over the per-block (sum, compensation) pairs in index
 order, so a result depends only on the partition, never on how the blocks
-were scheduled.
+were scheduled.  ``prefix_sums`` is the one streamed pass: it walks the
+same partition chunk by chunk and yields the running sum at every
+requested index, bit-identical to the total over that many terms, with
+each chunk's error charge, so a streamed caller can stop at the first
+chunk past its budget.
 
-Per-term rigorous error bounds are accumulated alongside every sum.
+Each sum's terms and their rigorous per-chunk error charges come from one
+term function (``log2sin_terms``, ``cot_terms``), shared by the kernels
+and the prefix walk.
 """
 
 from __future__ import annotations
@@ -180,114 +186,120 @@ def pairwise_sum(buf: np.ndarray) -> np.ndarray:
     return buf[..., 0].copy()  # not a view, which would keep all of buf alive
 
 
-class _Snapshots:
-    """Collects (i, sum, compensation) at the requested 1-based indices."""
+def log2sin_terms(x: np.ndarray, neg: np.ndarray, ang_err) -> tuple:
+    """log|2 sin(pi x)| of folded angles x, with the chunk's error charge
+    and its angle part, each summed along the last axis (per row for 2-D x).
 
-    def __init__(self, emit_at: Sequence[int]) -> None:
-        self.emit = np.asarray(emit_at, dtype=np.int64)
-        self.parts: list[tuple[np.ndarray, ...]] = []
+    ``ang_err`` bounds the absolute error of every angle (one bound per row
+    for 2-D x); it enters the charge through the cot-conditioned term, and
+    the angle part is that term alone: the charge minus the angle part is
+    float64 rounding, which no precision lowers.  neg is not needed.
+    """
+    sn = np.sin(np.pi * x)
+    term = np.log(sn + sn)
+    # Per-term budget: x keeps relative 2^-53 and |arg cot arg| <= 1 on
+    # (0, pi/2], so the sine keeps ~4.5 eps relative accuracy however
+    # small x is; the log adds up to an ulp of its own magnitude.
+    # ang_err covers the gap between the computed angle and the true
+    # orbit point, cot-conditioned.
+    ang = ang_err * (1.0 / x).sum(axis=-1)
+    return term, _EPS * (TERM_FLOOR * x.shape[-1] + 2.0 * np.abs(term).sum(axis=-1)) + ang, ang
 
-    def take(self, lo: int, run_s: np.ndarray, run_c: np.ndarray) -> None:
-        j0, j1 = np.searchsorted(self.emit, (lo, lo + len(run_s)), side="right")
-        if j1 > j0:
-            i = self.emit[j0:j1]
-            self.parts.append((i, run_s[i - lo - 1], run_c[i - lo - 1]))
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.parts:
-            return np.empty(0, np.int64), np.empty(0), np.empty(0)
-        return tuple(np.concatenate(col) for col in zip(*self.parts))
+def cot_terms(x: np.ndarray, neg: np.ndarray, ang_err: float, square: bool = False) -> tuple:
+    """cot(pi {a}) of one chunk of folded angles x, negated where neg (or
+    cot^2 with square=True), with the chunk's error charge and its angle
+    part, as in ``log2sin_terms``."""
+    arg = np.pi * x
+    c = np.cos(arg) / np.sin(arg)
+    c2 = c * c
+    abs_c, sq = np.abs(c).sum(), c2.sum()
+    # arg (1 + cot^2 arg) <= pi/2 + |cot arg| on (0, pi/2], so the
+    # relative-accurate angle keeps the cot error at O(eps |cot|).
+    if square:
+        ang = ang_err * 2.0 * np.pi * (sq + abs_c)
+        return c2, _EPS * (6.0 * sq + 8.0 * abs_c + 4.0 * len(x)) + ang, ang
+    ang = ang_err * np.pi * (len(x) + sq)
+    return np.where(neg, -c, c), _EPS * (8.0 * abs_c + 4.0 * len(x)) + ang, ang
 
 
-def log2sin_block(
-    a0,
-    w: int,
-    P: int,
-    count: int,
-    ang_err,
-    emit_at: Sequence[int] = (),
-) -> tuple:
+def log2sin_block(a0, w: int, P: int, count: int, ang_err) -> tuple:
     """Sum log|2 sin(pi a_i)| for a_i = (a0 + i*w)/2^P, i = 1..count.
 
-    Returns (sum, compensation, err_bound, snapshots, ang_part) where
-    snapshots holds the arrays (i, sum, compensation) at each index in
-    emit_at (ascending).  ``ang_err`` is the caller's absolute bound on the
-    angle error of every a_i; it enters the error bound through the
-    cot-conditioned term, and ang_part is that term alone: err_bound minus
-    ang_part is float64 rounding, which no precision lowers.
+    Returns (sum, compensation, err_bound, ang_part).  ``ang_err`` is the
+    caller's absolute bound on the angle error of every a_i; ang_part is
+    the part of err_bound it causes (see ``log2sin_terms``).
 
     With a sequence of anchors a0 (rows), ang_err is a scalar or one bound
-    per row, and sum, compensation, err_bound and ang_part are arrays with
-    one entry per row; emit_at needs a single anchor.
+    per row, and every entry returned is an array with one value per row.
     """
     single = isinstance(a0, int)
     anchors = [a0] if single else list(a0)
-    if len(emit_at) and not single:
-        raise ValueError("emit_at needs a single anchor")
     ang_err = np.broadcast_to(np.asarray(ang_err, dtype=np.float64) + orbit_err(P), len(anchors))
-    snaps = _Snapshots(emit_at)
     s, comp, err, ang = np.zeros((4, len(anchors)))
-    for r0, lo, x, _neg in orbit(anchors, w, P, count):
+    for r0, _lo, x, neg in orbit(anchors, w, P, count):
         rows = slice(r0, r0 + len(x))
-        sn = np.sin(np.pi * x)
-        term = np.log(sn + sn)
-        # Per-term budget: x keeps relative 2^-53 and |arg cot arg| <= 1 on
-        # (0, pi/2], so the sine keeps ~4.5 eps relative accuracy however
-        # small x is; the log adds up to an ulp of its own magnitude.
-        # ang_err covers the gap between the computed angle and the true
-        # orbit point, cot-conditioned.
-        cond = ang_err[rows] * (1.0 / x).sum(axis=1)
-        err[rows] += _EPS * (TERM_FLOOR * x.shape[1] + 2.0 * np.abs(term).sum(axis=1)) + cond
-        ang[rows] += cond
+        term, e, a = log2sin_terms(x, neg, ang_err[rows])
+        err[rows] += e
+        ang[rows] += a
         run_s, run_c = neumaier(term, s[rows], comp[rows])
         s[rows], comp[rows] = run_s[:, -1], run_c[:, -1]
-        if single:
-            snaps.take(lo, run_s[0], run_c[0])
     if single:
-        return float(s[0]), float(comp[0]), float(err[0]), snaps.arrays(), float(ang[0])
-    return s, comp, err, snaps.arrays(), ang
+        return float(s[0]), float(comp[0]), float(err[0]), float(ang[0])
+    return s, comp, err, ang
 
 
 def cot_block(
-    a0: int,
-    w: int,
-    P: int,
-    count: int,
-    ang_err: float,
-    emit_at: Sequence[int] = (),
-    square: bool = False,
-) -> tuple[float, float, float, int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    a0: int, w: int, P: int, count: int, ang_err: float, square: bool = False
+) -> tuple[float, float, float, int]:
     """Sum cot(pi {a_i}) (or cot^2 with square=True) over i = 1..count.
 
-    Also returns the minimum folded distance seen (in mantissa units) so
-    callers can assert the three-distance precision guard at runtime.
+    Returns (sum, compensation, err_bound, min_u): min_u is the minimum
+    folded distance seen (in mantissa units), so callers can assert the
+    three-distance precision guard at runtime.
     """
     one = 1 << P
     ang_err += orbit_err(P)
-    snaps = _Snapshots(emit_at)
     s = comp = err = 0.0
     min_u = one
     for lo, x, neg in orbit(a0, w, P, count):
         # the chunk's closest approach, exactly in P-bit units
         a = (a0 + (lo + int(x.argmin()) + 1) * w) % one
         min_u = min(min_u, a, one - a)
-        arg = np.pi * x
-        c = np.cos(arg) / np.sin(arg)
-        c2 = c * c
-        abs_c, sq = np.abs(c).sum(), c2.sum()
-        # arg (1 + cot^2 arg) <= pi/2 + |cot arg| on (0, pi/2], so the
-        # relative-accurate angle keeps the cot error at O(eps |cot|).
-        if square:
-            term = c2
-            err += _EPS * (6.0 * sq + 8.0 * abs_c + 4.0 * len(x))
-            err += ang_err * 2.0 * np.pi * (sq + abs_c)
-        else:
-            term = np.where(neg, -c, c)
-            err += _EPS * (8.0 * abs_c + 4.0 * len(x)) + ang_err * np.pi * (len(x) + sq)
+        term, e, _ang = cot_terms(x, neg, ang_err, square)
+        err += e
         run_s, run_c = neumaier(term, s, comp)
         s, comp = run_s[-1], run_c[-1]
-        snaps.take(lo, run_s, run_c)
-    return float(s), float(comp), float(err), min_u, snaps.arrays()
+    return float(s), float(comp), float(err), min_u
+
+
+def prefix_sums(terms, w: int, P: int, count: int, stride: int) -> Iterator[tuple]:
+    """Running sums of terms over the orbit a_i = i w/2^P, i = 1..count,
+    chunk by chunk.  Yields (end, rows, err, ang) per chunk: its last
+    index; (k, sum_{i<=k} term_i) for every k = 1, 1 + stride, ... inside
+    it; its error charge and the charge's angle part.
+
+    ``terms(x, neg, ang_err)`` gives a chunk's terms, charge and angle
+    part (``log2sin_terms``, ``cot_terms``), with ang_err = (end + 1) 2^-P,
+    the P-bit omega's drift at the chunk's last index, plus orbit_err(P).
+    The sums follow the fixed partition that the totals use: each BLOCK
+    restarts its Neumaier sum, and the value at k is math.fsum of the
+    earlier blocks' (sum, compensation) pairs and the running pair at k,
+    bit-identical to the total over k terms.
+    """
+    done: list[float] = []
+    s = comp = 0.0
+    for lo, x, neg in orbit(0, w, P, count):
+        if lo and lo % BLOCK == 0:
+            done += (s, comp)
+            s = comp = 0.0
+        end = lo + len(x)
+        term, err, ang = terms(x, neg, (end + 1) * 2.0 ** (-P) + orbit_err(P))
+        run_s, run_c = neumaier(term, s, comp)
+        s, comp = run_s[-1], run_c[-1]
+        at = slice((-lo) % stride, None, stride)
+        pairs = zip(range(lo + 1, end + 1)[at], run_s[at].tolist(), run_c[at].tolist())
+        yield end, [(k, math.fsum(done + [s_k, c_k])) for k, s_k, c_k in pairs], float(err), float(ang)
 
 
 def map_blocks(fn, jobs: Iterable[tuple], workers: int = 1) -> list:

@@ -13,9 +13,19 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._engine import block_spans, cot_block, map_blocks, merge_partials, neumaier, orbit, orbit_err
+from ._engine import (
+    block_spans,
+    cot_block,
+    cot_terms,
+    map_blocks,
+    merge_partials,
+    neumaier,
+    orbit,
+    orbit_err,
+    prefix_sums,
+)
 from .errors import PrecisionExhausted
-from .fibcore import zeckendorf
+from .fibcore import OMEGA, zeckendorf
 from .goldenangle import GoldenCtx
 from .products import sudler_P
 
@@ -44,8 +54,7 @@ _EPS = 2.0**-53
 
 # Fixed constant for the partial-sum growth bound |S_nt| < K omega^n (ln t + 1):
 # (3/2) pi / ln(2 + omega) plus 1 to absorb the O(n omega^2n) remainder.
-_OMEGA = (math.sqrt(5.0) - 1.0) / 2.0
-PARTIAL_SUM_K = 1.5 * math.pi / math.log(2.0 + _OMEGA) + 1.0
+PARTIAL_SUM_K = 1.5 * math.pi / math.log(2.0 + OMEGA) + 1.0
 
 
 @dataclass(frozen=True)
@@ -156,30 +165,18 @@ def discrepancy_scan(
     bits = 62
     one = 1 << bits
     w62 = (ctx.omega.mantissa + (1 << (ctx.P - bits - 1))) >> (ctx.P - bits)
-    angles = np.empty(q, dtype=np.int64)
-    a = 0
-    for i in range(q):
-        a += w62
-        if a >= one:
-            a -= one
-        angles[i] = a
-    base_sum = int(sum(angles.tolist()))
-    angles.sort()
-    rng = np.random.default_rng(seed)
-    thetas = rng.integers(0, one, size=n_thetas, dtype=np.int64)
-    hi = -math.inf
-    lo = math.inf
+    # i w62 wraps mod 2^64 in uint64, which 2^62 divides, so the mask
+    # leaves i w62 mod 2^62 exactly; every angle fits an int64.
+    angles = (np.arange(1, q + 1, dtype=np.uint64) * np.uint64(w62)) & np.uint64(one - 1)
+    angles = np.sort(angles.astype(np.int64))
+    base_sum = sum(angles.tolist()) - q * (one >> 1)
+    thetas = np.random.default_rng(seed).integers(0, one, size=n_thetas, dtype=np.int64)
+    # theta + a_i wraps past 1 exactly for the angles a_i >= 1 - theta
+    wraps = q - np.searchsorted(angles, one - thetas)
+    # Python ints: a wrapping int64 sum is exact only while |sum| < 2
+    sums = [base_sum + q * th - wr * one for th, wr in zip(thetas.tolist(), wraps.tolist())]
     scale = 2.0 ** (-bits)
-    half_term = q * (one >> 1)
-    for th in thetas.tolist():
-        wraps = q - int(np.searchsorted(angles, one - th))
-        s_int = base_sum + q * th - wraps * one - half_term
-        val = s_int * scale
-        if val > hi:
-            hi = val
-        if val < lo:
-            lo = val
-    return hi, lo
+    return max(sums) * scale, min(sums) * scale
 
 
 class CotSum(NamedTuple):
@@ -210,13 +207,11 @@ def _cot_sum_raw(count: int, ctx: GoldenCtx, square: bool) -> tuple[float, float
     w = ctx.omega.mantissa
     one = 1 << P
     ang_err = (count + 1) * 2.0 ** (-P)
-    jobs = [
-        ((s * w) % one, w, P, cnt, ang_err, (), square) for s, cnt in block_spans(count)
-    ]
+    jobs = [((s * w) % one, w, P, cnt, ang_err, square) for s, cnt in block_spans(count)]
     results = map_blocks(cot_block, jobs)
-    value = merge_partials([(s, c) for s, c, _e, _m, _sn in results])
-    err = math.fsum(e for _s, _c, e, _m, _sn in results)
-    min_u = min(m for _s, _c, _e, m, _sn in results)
+    value = merge_partials([(s, c) for s, c, _e, _m in results])
+    err = math.fsum(e for _s, _c, e, _m in results)
+    min_u = min(m for _s, _c, _e, m in results)
     return value, err, min_u
 
 
@@ -254,20 +249,10 @@ def cot_profile(n: int, ctx: GoldenCtx) -> Iterator[tuple[int, float]]:
     if n < 3:
         raise ValueError("level n must be >= 3")
     count = ctx.fibs.fib(n) - 1
-    P = ctx.P
-    w = ctx.omega.mantissa
-    one = 1 << P
     sign = -1.0 if n % 2 else 1.0
-    ang_err = (count + 1) * 2.0 ** (-P)
-    done: list[float] = []
-    for start, cnt in block_spans(count):
-        s, c, _e, _m, snaps = cot_block(
-            (start * w) % one, w, P, cnt, ang_err, emit_at=np.arange(1, cnt + 1)
-        )
-        for i, s_at, c_at in zip(*(col.tolist() for col in snaps)):
-            yield (start + i, sign * math.fsum(done + [s_at, c_at]))
-        done.append(s)
-        done.append(c)
+    for _end, rows, _err, _ang in prefix_sums(cot_terms, ctx.omega.mantissa, ctx.P, count, 1):
+        for k, partial in rows:
+            yield (k, sign * partial)
 
 
 def birkhoff_S(k: int, ctx: GoldenCtx) -> float:

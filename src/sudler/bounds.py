@@ -14,7 +14,7 @@ import numpy as np
 
 from ._engine import neumaier, orbit
 from .errors import PrecisionExhausted
-from .fibcore import zeckendorf
+from .fibcore import OMEGA, zeckendorf
 from .goldenangle import GoldenCtx
 from .products import ProductResult, log_abs_sin_product, sudler_P
 
@@ -37,10 +37,8 @@ __all__ = [
     "PERTURBED_RATIO_LOWER",
 ]
 
-_OMEGA = (math.sqrt(5.0) - 1.0) / 2.0
-
 # Proven upper bound on log(perturbed/unperturbed): omega (1/sqrt(5) + omega).
-PERTURBED_RATIO_UPPER = math.exp(_OMEGA * (1.0 / math.sqrt(5.0) + _OMEGA))
+PERTURBED_RATIO_UPPER = math.exp(OMEGA * (1.0 / math.sqrt(5.0) + OMEGA))
 
 # The lower bound is only proven to exist; this is the recorded empirical
 # infimum over the scanned range (n <= 20, |alpha| <= omega^{n+1}), with

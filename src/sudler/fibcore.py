@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 __all__ = [
+    "OMEGA",
     "FibTable",
     "TABLE",
     "ZeckRep",
@@ -25,10 +26,11 @@ __all__ = [
     "fib_mod_inverse",
 ]
 
-# ln(1+omega) and ln(2+omega) for the index/length bounds; omega = (sqrt(5)-1)/2.
-_OMEGA = (math.sqrt(5.0) - 1.0) / 2.0
-_LOG_GOLDEN = math.log(1.0 + _OMEGA)
-_LOG_GOLDEN_SQ = math.log(2.0 + _OMEGA)
+# omega = (sqrt(5)-1)/2 as a float, the package's one copy; ln(1+omega) and
+# ln(2+omega) for the index/length bounds.
+OMEGA = (math.sqrt(5.0) - 1.0) / 2.0
+_LOG_GOLDEN = math.log(1.0 + OMEGA)
+_LOG_GOLDEN_SQ = math.log(2.0 + OMEGA)
 
 
 class FibTable:

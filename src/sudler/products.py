@@ -48,11 +48,13 @@ from ._engine import (
     TREE_RATE,
     block_spans,
     log2sin_block,
+    log2sin_terms,
     map_blocks,
     merge_partials,
     neumaier,
     orbit,
     pairwise_sum,
+    prefix_sums,
 )
 from .errors import PrecisionExhausted
 from .goldenangle import GoldenCtx
@@ -137,7 +139,7 @@ class Decomposition:
 
 def _direct_floor(count: int) -> float:
     """The float64 rounding floor of a count-term orbit sum's bound, which
-    no precision lowers: log2sin_block charges each term TERM_FLOOR eps."""
+    no precision lowers: log2sin_terms charges each term TERM_FLOOR eps."""
     return TERM_FLOOR * _EPS * count
 
 
@@ -212,7 +214,7 @@ def log_abs_sin_product(
     blocks = map_blocks(log2sin_block, jobs)
     out = []
     # each row holds one anchor's (sum, compensation, err, angle part), block by block
-    for row in zip(*(zip(s.tolist(), c.tolist(), e.tolist(), a.tolist()) for s, c, e, _sn, a in blocks)):
+    for row in zip(*(zip(s.tolist(), c.tolist(), e.tolist(), a.tolist()) for s, c, e, a in blocks)):
         err = math.fsum(e for _s, _c, e, _a in row)
         if err > ERR_BUDGET:
             ang = math.fsum(a for _s, _c, _e, a in row)
@@ -305,8 +307,9 @@ def _log_a(n: int, ctx: GoldenCtx) -> tuple[float, float]:
 
 
 def _residue_chunks(start: int, count: int, fn1: int, fn: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (t, t F_{n-1} mod F_n) as int64 arrays for t = start+1..start+count,
-    at most CHUNK at a time.
+    """Yield (t, d) for t = start+1..start+count, at most CHUNK at a time:
+    t as int64 and the centred residue d = (t F_{n-1} mod F_n) - F_n/2 as
+    float64, exact while F_n < 2^53.
 
     Each chunk anchors exactly at (lo F_{n-1}) mod F_n in Python ints and
     adds the steps i F_{n-1} mod F_n, i <= CHUNK, taken once in int64 (no
@@ -320,11 +323,11 @@ def _residue_chunks(start: int, count: int, fn1: int, fn: int) -> Iterator[tuple
         res = steps[:m] + (lo * fn1) % fn
         r = res.view(np.uint64)
         np.minimum(r, r - np.uint64(fn), out=r)
-        yield lo + _STEPS[:m], res
+        yield lo + _STEPS[:m], res - 0.5 * fn
 
 
 def _walk_half(n: int, ctx: GoldenCtx, terms: list) -> tuple[list[float], list[float]]:
-    """Per term function of (t, res), the sum of its log-terms and the sum
+    """Per term function of (t, d), the sum of its log-terms and the sum
     of its weights over t < F_n/2, all from one walk over the residues.
 
     Each chunk's log-terms are stacked as rows, zero-padded to CHUNK and
@@ -342,9 +345,9 @@ def _walk_half(n: int, ctx: GoldenCtx, terms: list) -> tuple[list[float], list[f
     def block(t0: int, cnt: int) -> tuple[np.ndarray, np.ndarray]:
         buf = np.zeros((len(terms), -(-cnt // CHUNK), CHUNK))
         weights = np.zeros(len(terms))
-        for j, (t, res) in enumerate(_residue_chunks(t0, cnt, fn1, fn)):
+        for j, (t, d) in enumerate(_residue_chunks(t0, cnt, fn1, fn)):
             for row, f in enumerate(terms):
-                buf[row, j, : len(t)], g = f(t, res)
+                buf[row, j, : len(t)], g = f(t, d)
                 weights[row] += g.sum()
         return pairwise_sum(buf), weights
 
@@ -356,7 +359,7 @@ def _walk_half(n: int, ctx: GoldenCtx, terms: list) -> tuple[list[float], list[f
 
 
 def _b_terms(
-    t: np.ndarray, res: np.ndarray, fn: int, pw: float, include_quadratic: bool
+    t: np.ndarray, d: np.ndarray, fn: int, pw: float, include_quadratic: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """The log-terms log1p(w), w = -alpha_nt - h_nt, of B_n (w = -h_nt for
     B*_n) for 0 < t < F_n/2, and the weights |w|/(1 + w).
@@ -367,8 +370,8 @@ def _b_terms(
     factors.  Each term is within (_B_RATE + _B_POW delta) |w|/(1 + w) of
     its exact value, with delta = _omega_pow_err.  In units u = 2^-53, taking
     tan and log1p to one ulp (2u relative; measured at most 1.05u):
-    - xi = (res - F_n/2)/F_n: the difference is exact, the reciprocal and
-      the product add 2u relative to xi;
+    - xi = d/F_n, with d = res - F_n/2 exact: the reciprocal and the
+      product add 2u relative to xi;
     - hz = (pi/2)(pw xi) = pi z/2: pw's rounding, the constant and two
       products add 4u, so 6u + delta;
     - tau = tan hz: |hz| < pi omega^4/4 < 0.12, where tan's condition
@@ -387,7 +390,7 @@ def _b_terms(
       |term| <= 1.25 |w|/(1 + w).
     In all (30.5u + 1.36 delta) |w|/(1 + w); B*_n's w costs less.
     """
-    tau = np.tan(_HALF_PI * (pw * ((res - 0.5 * fn) * (1.0 / fn))))
+    tau = np.tan(_HALF_PI * (pw * (d * (1.0 / fn))))
     cot = np.tan(np.minimum(2 * t, fn - 2 * t) * (_HALF_PI / fn))
     np.divide(1.0, cot, out=cot, where=4 * t <= fn)
     w = -2.0 * tau * (tau + cot if include_quadratic else cot) / (1.0 + tau * tau)
@@ -408,9 +411,9 @@ def _log_factors(n: int, ctx: GoldenCtx, which: tuple[str, ...]) -> list[tuple[f
     pw = ctx.omega_pow_float(n)
     s0 = 2.0 * math.sin(math.pi * pw * 0.5)
     term_fns = {
-        "B": lambda t, res: _b_terms(t, res, fn, pw, True),
-        "B*": lambda t, res: _b_terms(t, res, fn, pw, False),
-        "C": lambda t, res: _c_terms(t, res, fn, pw, s0),
+        "B": lambda t, d: _b_terms(t, d, fn, pw, True),
+        "B*": lambda t, d: _b_terms(t, d, fn, pw, False),
+        "C": lambda t, d: _c_terms(t, d, fn, pw, s0),
     }
     sums, weights = _walk_half(n, ctx, [term_fns[f] for f in which])
     delta = _omega_pow_err(n, ctx)
@@ -457,20 +460,19 @@ def B_star(n: int, ctx: GoldenCtx) -> float:
 
 
 def _c_terms(
-    t: np.ndarray, res: np.ndarray, fn: int, pw: float, s0: float
+    t: np.ndarray, d: np.ndarray, fn: int, pw: float, s0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The log-terms log1p(-q), q = (s_n0/s_nt)^2, of C_n for 0 < t <= F_n/2,
     and the weights q/(1 - q).  Raises ValueError naming t unless
     s_n0/s_nt < 1.
 
-    s_nt = 2 sin y with y = pi (t - pw (res - F_n/2))/F_n in (0, pi/2], and
-    with tau = tan(y/2), s_n0/s_nt = s0 (1 + tau^2)/(4 tau).  Each term is
+    s_nt = 2 sin y with y = pi (t - pw d)/F_n in (0, pi/2], where d is the
+    centred residue res - F_n/2, and with tau = tan(y/2), s_n0/s_nt = s0 (1 + tau^2)/(4 tau).  Each term is
     within (_C_RATE + _C_POW delta) q/(1 - q) of its exact value (u and delta as
     at _b_terms; s0 = 2 sin(pi pw/2) carries 5u + delta):
-    - pw (res - F_n/2): the difference is exact; pw and the product cost
-      2u + delta;
-    - t minus that: |pw (res - F_n/2)| <= F_n omega^n/2 < 0.24 is at most a
-      third of t - pw (res - F_n/2), so u + (2u + delta)/3;
+    - pw d: d is exact; pw and the product cost 2u + delta;
+    - t minus that: |pw d| <= F_n omega^n/2 < 0.24 is at most a third of
+      t - pw d, so u + (2u + delta)/3;
     - the reciprocal, pi/2 and two products add 4u: 5.7u + delta/3;
     - tau: y/2 lies in (0, pi/4], where tan's condition is at most pi/2,
       plus 2u: 10.9u + 0.53 delta; 1 + tau^2 (tau <= 1): 12.4u + 0.53 delta;
@@ -480,7 +482,7 @@ def _c_terms(
       on |term| <= q/(1 - q).
     In all (66.6u + 4.12 delta) q/(1 - q).
     """
-    tau = np.tan(_HALF_PI * ((t - pw * (res - 0.5 * fn)) * (1.0 / fn)))
+    tau = np.tan(_HALF_PI * ((t - pw * d) * (1.0 / fn)))
     ratio = s0 * (1.0 + tau * tau) / (4.0 * tau)
     bad = np.flatnonzero(~(ratio < 1.0))
     if len(bad):
@@ -561,36 +563,26 @@ def ratio_PFn_minus1(n: int, ctx: GoldenCtx) -> float:
 
 
 def _log_prefix_iter(count: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[int, float]]:
-    """Yield (k, log P_k) for k = 1, 1 + stride, ... <= count in one
-    incremental pass, block by block, sharing its block arithmetic with
-    sudler_P, so an emitted value at k is bit-identical to
-    sudler_P(k).log_value.
+    """Yield (k, log P_k) for k = 1, 1 + stride, ... <= count from one
+    incremental pass (``_engine.prefix_sums``), so an emitted value at k is
+    bit-identical to sudler_P(k).log_value.
 
     Raises PrecisionExhausted before the first row when the float64 floor
-    of count terms exceeds ERR_BUDGET, and otherwise at the first block
-    whose running bound does, naming its larger part.
+    of count terms exceeds ERR_BUDGET, and otherwise at the first chunk
+    whose running bound does, naming its last k and the bound's larger part.
     """
     _check_floor(count)
     P = ctx.P
-    w = ctx.omega.mantissa
-    one = 1 << P
-    done: list[float] = []
     err = ang = 0.0
-    for start, cnt in block_spans(count):
-        emit = np.arange((-start) % stride + 1, cnt + 1, stride)
-        ang_err = (start + cnt + 1) * 2.0 ** (-P)
-        s, c, e, snaps, a = log2sin_block((start * w) % one, w, P, cnt, ang_err, emit_at=emit)
+    for end, rows, e, a in prefix_sums(log2sin_terms, ctx.omega.mantissa, P, count, stride):
         err += e
         ang += a
         if err > ERR_BUDGET:
             _refuse(
-                f"prefix pass at k={start + cnt}, P={P}", err, err - ang, ang,
+                f"prefix pass at k={end}, P={P}", err, err - ang, ang,
                 "the P-bit angle term", "the log terms' float64 rounding",
             )
-        for i, s_at, c_at in zip(*(col.tolist() for col in snaps)):
-            yield (start + i, math.fsum(done + [s_at, c_at]))
-        done.append(s)
-        done.append(c)
+        yield from rows
 
 
 def profile(n_max: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[int, float, float]]:

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from sudler import (
@@ -19,7 +20,8 @@ from sudler import (
     sudler_P,
     sum_series,
 )
-from sudler.birkhoff import PARTIAL_SUM_K, direct_k_sin_sum, direct_sin_sum, discrepancy_scan
+from sudler._engine import BLOCK
+from sudler.birkhoff import PARTIAL_SUM_K, _cot_sum_raw, direct_k_sin_sum, direct_sin_sum, discrepancy_scan
 
 mpmath.mp.dps = 60
 MP_OMEGA = (mpmath.sqrt(5) - 1) / 2
@@ -86,6 +88,20 @@ class TestDiscrepancy:
             hi, lo = discrepancy_scan(q, 200, seed=i, ctx=ctx)
             assert -1.5 < lo <= hi < 1.5
 
+    @pytest.mark.parametrize("q, seed", [(144, 3), (987, 4)])
+    def test_scan_extremes_equal_fraction_sums(self, ctx, q, seed):
+        """For the same seeded thetas, the scan's max and min are the exact
+        rational sums, each rounded once."""
+        one = 1 << 62
+        w62 = (ctx.omega.mantissa + (1 << (ctx.P - 63))) >> (ctx.P - 62)
+        alpha = Fraction(w62, one)
+        thetas = np.random.default_rng(seed).integers(0, one, size=30, dtype=np.int64).tolist()
+        sums = [
+            sum((Fraction(th, one) + i * alpha) % 1 - Fraction(1, 2) for i in range(1, q + 1))
+            for th in thetas
+        ]
+        assert discrepancy_scan(q, 30, seed, ctx) == (float(max(sums)), float(min(sums)))
+
     def test_exact_vs_fraction_path(self, ctx):
         # the scan's dyadic rotation matches frac_sum_convergent term by term
         w62 = (ctx.omega.mantissa + (1 << (ctx.P - 63))) >> (ctx.P - 62)
@@ -136,6 +152,15 @@ class TestCotSums:
         last_term_angle = frac_r_omega(ctx.fibs.fib(n), ctx).to_float()
         last_term = math.cos(math.pi * last_term_angle) / math.sin(math.pi * last_term_angle)
         assert abs(rows[-1][1] - sign * (full - last_term)) < 1e-10
+
+    def test_cot_profile_rows_equal_totals_across_blocks(self, ctx):
+        """Rows on both sides of a block cut, and the last row, are
+        bit-identical to the blocked total over k terms."""
+        n = 25
+        rows = dict(cot_profile(n, ctx))
+        sign = (-1.0) ** n
+        for k in (BLOCK - 1, BLOCK, BLOCK + 1, ctx.fibs.fib(n) - 1):
+            assert rows[k] == sign * _cot_sum_raw(k, ctx, False)[0], k
 
 
 def test_birkhoff_sum_is_twice_log(ctx):

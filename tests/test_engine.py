@@ -15,16 +15,19 @@ import pytest
 import sudler
 from sudler import PrecisionExhausted, make_ctx
 from sudler._engine import (
+    BLOCK,
     CHUNK,
     TREE_RATE,
     _fold,
     _top_limbs,
     cot_block,
     log2sin_block,
+    log2sin_terms,
     neumaier,
     orbit,
     orbit_err,
     pairwise_sum,
+    prefix_sums,
 )
 from sudler.fibcore import fib
 from sudler.products import log_abs_sin_product
@@ -220,20 +223,25 @@ class TestLog2SinBlock:
         P, w = pctx.P, pctx.omega.mantissa
         for start, count in ((0, 3000), (fib(25) - 1500, 3000)):
             a0 = (start * w) % (1 << P)
-            s, c, err, _snaps, _ang = log2sin_block(a0, w, P, count, 0.0)
+            s, c, err, _ang = log2sin_block(a0, w, P, count, 0.0)
             assert abs((s + c) - scalar_log2sin(a0, w, P, count)) <= err
 
-    def test_prefix_snapshots_equal_direct_sums(self, ctx):
-        """A snapshot at k is bit-identical to a direct call over k terms,
-        wherever k falls relative to the chunk cuts."""
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_prefix_walk_equals_direct_sums(self, ctx, stride):
+        """The walk's value at k is bit-identical to the total over k terms,
+        wherever k falls relative to the chunk and block cuts; at stride 7
+        the first emitted k at or after each cut is checked."""
         P, w = ctx.P, ctx.omega.mantissa
-        a0 = (fib(20) * w) % (1 << P)
-        ks = [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 17, 3 * CHUNK]
-        _s, _c, _e, (idx, snap_s, snap_c), _ang = log2sin_block(a0, w, P, 3 * CHUNK, 0.0, emit_at=ks)
-        assert idx.tolist() == ks
-        for k, s_at, c_at in zip(ks, snap_s.tolist(), snap_c.tolist()):
-            s, c, _e, _snaps, _ang = log2sin_block(a0, w, P, k, 0.0)
-            assert (s, c) == (s_at, c_at)
+        count = BLOCK + 2 * CHUNK + 16  # 1 mod 7, so emitted at both strides
+        ends, rows = [], {}
+        for end, chunk_rows, _err, _ang in prefix_sums(log2sin_terms, w, P, count, stride):
+            ends.append(end)
+            rows.update(chunk_rows)
+        assert ends == [*range(CHUNK, count, CHUNK), count]
+        assert list(rows) == list(range(1, count + 1, stride))
+        for k in (1, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1, count):
+            k += -(k - 1) % stride
+            assert rows[k] == log_abs_sin_product(k, ctx)[0], k
 
     def test_dropped_bits_are_charged(self):
         """Above 144 bits the limbs drop the low bits; an angle 20001 units of
@@ -242,7 +250,7 @@ class TestLog2SinBlock:
         P = 512
         w, one = make_ctx(P).omega.mantissa, 1 << P
         u = (20_001 << (P - 144)) - 1
-        term, _c, err, _snaps, _ang = log2sin_block((u - w) % one, w, P, 1, 0.0)
+        term, _c, err, _ang = log2sin_block((u - w) % one, w, P, 1, 0.0)
         with mpmath.workdps(40):
             want = float(mpmath.log(2 * mpmath.sin(mpmath.pi * mpmath.mpf(u) / one)))
         assert 1e-6 < abs(term - want) <= err
@@ -250,8 +258,7 @@ class TestLog2SinBlock:
     def test_single_call_of_2_20_terms(self, ctx):
         P, w = ctx.P, ctx.omega.mantissa
         count = 1 << 20
-        s, c, err, snaps, _ang = log2sin_block(0, w, P, count, (count + 1) * 2.0**-P)
-        assert len(snaps[0]) == 0
+        s, c, err, _ang = log2sin_block(0, w, P, count, (count + 1) * 2.0**-P)
         blockwise, block_err = log_abs_sin_product(count, ctx)
         assert math.isfinite(s + c) and 0.0 < err < 1e-9
         assert abs((s + c) - blockwise) <= err + block_err
@@ -290,11 +297,10 @@ class TestRows:
         P, w, one = ctx.P, ctx.omega.mantissa, 1 << ctx.P
         anchors = [(st * w) % one for st in starts]
         ang_errs = (np.random.default_rng(seed).random(len(starts)) * 1e-12).tolist()
-        s, c, err, snaps, ang = log2sin_block(anchors, w, P, count, ang_errs)
+        s, c, err, ang = log2sin_block(anchors, w, P, count, ang_errs)
         assert s.shape == c.shape == err.shape == ang.shape == (len(starts),)
-        assert len(snaps[0]) == 0
         want = [log2sin_block(a, w, P, count, e) for a, e in zip(anchors, ang_errs)]
-        want_s, want_c, want_err, _snaps, want_ang = zip(*want)
+        want_s, want_c, want_err, want_ang = zip(*want)
         assert bits(s) == bits(want_s)
         assert bits(c) == bits(want_c)
         assert bits(err) == bits(want_err)
@@ -333,10 +339,6 @@ class TestRows:
         with pytest.raises(PrecisionExhausted):
             log2sin_block(anchors, w, P, 10, 0.0)
 
-    def test_emit_at_needs_a_single_anchor(self, ctx):
-        with pytest.raises(ValueError):
-            log2sin_block([0, 1], ctx.omega.mantissa, ctx.P, 10, 0.0, emit_at=[3])
-
 
 class TestRigour:
     """The rigorous err charges each log|2 sin(pi x)| term (4.5 + 2|term|)
@@ -352,7 +354,7 @@ class TestRigour:
             for r in rs:
                 a = (r * w) % one
                 u = min(a, one - a)
-                term, _c, err, _snaps, _ang = log2sin_block(((r - 1) * w) % one, w, P, 1, 0.0)
+                term, _c, err, _ang = log2sin_block(((r - 1) * w) % one, w, P, 1, 0.0)
                 assert err <= (4.5 + 2.0 * abs(term)) * EPS * (1 + 1e-12) + orbit_err(P) * one / u
                 want = mpmath.log(2 * mpmath.sin(mpmath.pi * mpmath.mpf(u) / one))
                 dev = abs(term - float(want))

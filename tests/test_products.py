@@ -1,6 +1,8 @@
 """Sudler products, the renormalisation subsequence, and the decomposition."""
 
 import math
+import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -23,6 +25,7 @@ from sudler import (
     sudler_P,
     sudler_P_rational,
 )
+from sudler import _engine
 from sudler._engine import CHUNK
 from sudler.verify import run_checks
 from sudler.products import (
@@ -320,11 +323,11 @@ class TestVectorisedFactors:
         assert (fn - 1) * fn1 > 2**63  # a bare int64 t * F_59 overflows here
         start, count = fn - CHUNK - 3, CHUNK + 2
         chunks = list(_residue_chunks(start, count, fn1, fn))
-        assert [len(t) for t, _res in chunks] == [CHUNK, 2]
-        t = [int(v) for chunk, _res in chunks for v in chunk]
-        res = [int(v) for _t, chunk in chunks for v in chunk]
+        assert [len(t) for t, _d in chunks] == [CHUNK, 2]
+        t = [int(v) for chunk, _d in chunks for v in chunk]
+        d = [Fraction(v) for _t, chunk in chunks for v in chunk.tolist()]
         assert t == list(range(start + 1, start + count + 1))
-        assert res == [v * fn1 % fn for v in t]
+        assert d == [v * fn1 % fn - Fraction(fn, 2) for v in t]
 
 
 class TestCLimit:
@@ -378,8 +381,8 @@ class TestProfile:
 
     def test_refused_before_first_row_past_the_float64_floor(self, ctx, monkeypatch):
         calls = []
-        kernel = products.log2sin_block
-        monkeypatch.setattr(products, "log2sin_block", lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+        walk = _engine.orbit
+        monkeypatch.setattr(_engine, "orbit", lambda *a, **kw: calls.append(1) or walk(*a, **kw))
         with pytest.raises(PrecisionExhausted, match="rounding floor"):
             next(profile(32, 400_000, ctx))
         assert calls == []
@@ -388,6 +391,17 @@ class TestProfile:
         """The rounding case is `sudler scan 1600000` in test_cli."""
         with pytest.raises(PrecisionExhausted, match=r"prefix pass at k=\d+, P=64 .*the P-bit angle term"):
             list(products._log_prefix_iter(200_000, 200_000, make_ctx(64)))
+
+    def test_late_refusal_comes_within_a_chunk_of_the_last_row(self):
+        """The pass refuses at the first chunk past the budget: the k it
+        names is at most one CHUNK beyond the last row it streamed."""
+        rows = []
+        with pytest.raises(PrecisionExhausted, match=r"prefix pass at k=(\d+)") as info:
+            for k, _log_p in products._log_prefix_iter(200_000, 1, make_ctx(64)):
+                rows.append(k)
+        named = int(re.search(r"k=(\d+)", str(info.value)).group(1))
+        assert rows == list(range(1, len(rows) + 1))
+        assert 0 < named - rows[-1] <= CHUNK
 
     def test_workers_do_not_change_values(self):
         """run_checks still accepts ``workers`` and ignores it."""
@@ -453,12 +467,12 @@ class TestFactorBounds:
                 fn, fn1 = ctx.fibs.fib(n), ctx.fibs.fib(n - 1)
                 half = (fn - 1) // 2
                 t = np.unique(np.concatenate([[1, half], rng.integers(1, half + 1, per_level - 2)]))
-                res = t * fn1 % fn
+                d = t * fn1 % fn - 0.5 * fn
                 pw = ctx.omega_pow_float(n)
                 delta = _omega_pow_err(n, ctx)
-                b, gb = _b_terms(t, res, fn, pw, True)
-                bs, gbs = _b_terms(t, res, fn, pw, False)
-                c, gc = _c_terms(t, res, fn, pw, 2.0 * math.sin(math.pi * pw * 0.5))
+                b, gb = _b_terms(t, d, fn, pw, True)
+                bs, gbs = _b_terms(t, d, fn, pw, False)
+                c, gc = _c_terms(t, d, fn, pw, 2.0 * math.sin(math.pi * pw * 0.5))
                 for i, ti in enumerate(t.tolist()):
                     want_b, want_bs = mp_b_terms(n, ti)
                     want_c = mp_c_term(n, ti)
@@ -525,8 +539,8 @@ class TestQRoutes:
 
     def test_direct_sum_refused_before_kernel_work(self, ctx, monkeypatch):
         calls = []
-        kernel = products.log2sin_block
-        monkeypatch.setattr(products, "log2sin_block", lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+        walk = _engine.orbit
+        monkeypatch.setattr(_engine, "orbit", lambda *a, **kw: calls.append(1) or walk(*a, **kw))
         with pytest.raises(PrecisionExhausted, match="rounding floor"):
             sudler_P(ctx.fibs.fib(32), ctx)
         assert calls == []
