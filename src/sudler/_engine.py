@@ -1,4 +1,4 @@
-"""Fixed-block evaluation engine for sums over the rotation orbit {r omega}.
+"""Evaluation engine for sums over the rotation orbit {r omega}.
 
 Angles are exact P-bit integers a_i = (a0 + i*w) mod 2^P.  ``orbit`` walks
 them in chunks of at most CHUNK terms; each chunk starts from one exact
@@ -29,15 +29,12 @@ and charged relative to their size can instead use ``pairwise_sum``, a
 pinned halving tree over one zero-padded chunk, whose error is charged
 as TREE_RATE per unit of sum |term|.
 
-Work is cut into fixed blocks of BLOCK terms, evaluated one after another
-in index order.  Blocks are pure functions of their start index, and the
-merge is math.fsum over the per-block (sum, compensation) pairs in index
-order, so a result depends only on the partition, never on how the blocks
-were scheduled.  ``prefix_sums`` is the one streamed pass: it walks the
-same partition chunk by chunk and yields the running sum at every
-requested index, bit-identical to the total over that many terms, with
-each chunk's error charge, so a streamed caller can stop at the first
-chunk past its budget.
+Every orbit total is one kernel call: one Neumaier sum runs over all its
+terms, and the result is that running (sum, compensation) pair rounded
+once.  ``prefix_sums`` is the one streamed pass: it runs the same sum
+chunk by chunk and yields the running value at every requested index,
+bit-identical to the total over that many terms, with each chunk's error
+charge, so a streamed caller can stop at the first chunk past its budget.
 
 Each sum's terms and their rigorous per-chunk error charges come from one
 term function (``log2sin_terms``, ``cot_terms``), shared by the kernels
@@ -53,7 +50,6 @@ import numpy as np
 
 from .errors import PrecisionExhausted
 
-BLOCK = 1 << 16
 CHUNK = 1 << 13
 
 _EPS = 2.0**-53
@@ -282,24 +278,19 @@ def prefix_sums(terms, w: int, P: int, count: int, stride: int) -> Iterator[tupl
     ``terms(x, neg, ang_err)`` gives a chunk's terms, charge and angle
     part (``log2sin_terms``, ``cot_terms``), with ang_err = (end + 1) 2^-P,
     the P-bit omega's drift at the chunk's last index, plus orbit_err(P).
-    The sums follow the fixed partition that the totals use: each BLOCK
-    restarts its Neumaier sum, and the value at k is math.fsum of the
-    earlier blocks' (sum, compensation) pairs and the running pair at k,
-    bit-identical to the total over k terms.
+    The value at k is the running Neumaier pair (s_k, c_k) rounded once,
+    s_k + c_k, as every total rounds, so it is bit-identical to the total
+    over k terms.
     """
-    done: list[float] = []
     s = comp = 0.0
     for lo, x, neg in orbit(0, w, P, count):
-        if lo and lo % BLOCK == 0:
-            done += (s, comp)
-            s = comp = 0.0
         end = lo + len(x)
         term, err, ang = terms(x, neg, (end + 1) * 2.0 ** (-P) + orbit_err(P))
         run_s, run_c = neumaier(term, s, comp)
         s, comp = run_s[-1], run_c[-1]
         at = slice((-lo) % stride, None, stride)
-        pairs = zip(range(lo + 1, end + 1)[at], run_s[at].tolist(), run_c[at].tolist())
-        yield end, [(k, math.fsum(done + [s_k, c_k])) for k, s_k, c_k in pairs], float(err), float(ang)
+        rows = list(zip(range(lo + 1, end + 1)[at], (run_s[at] + run_c[at]).tolist()))
+        yield end, rows, float(err), float(ang)
 
 
 def map_blocks(fn, jobs: Iterable[tuple], workers: int = 1) -> list:
@@ -316,12 +307,3 @@ def merge_partials(parts: Sequence[tuple[float, float]]) -> float:
         flat.append(c)
     return math.fsum(flat)
 
-
-def block_spans(count: int) -> list[tuple[int, int]]:
-    """Fixed partition of 1..count into (start, length) spans of BLOCK terms."""
-    spans = []
-    start = 0
-    while start < count:
-        spans.append((start, min(BLOCK, count - start)))
-        start += BLOCK
-    return spans

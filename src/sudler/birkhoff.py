@@ -14,10 +14,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from ._engine import (
-    block_spans,
     cot_block,
     cot_terms,
-    map_blocks,
     merge_partials,
     neumaier,
     orbit,
@@ -204,15 +202,8 @@ def cot_sum(n: int, ctx: GoldenCtx) -> CotSum:
 
 def _cot_sum_raw(count: int, ctx: GoldenCtx, square: bool) -> tuple[float, float, int]:
     P = ctx.P
-    w = ctx.omega.mantissa
-    one = 1 << P
-    ang_err = (count + 1) * 2.0 ** (-P)
-    jobs = [((s * w) % one, w, P, cnt, ang_err, square) for s, cnt in block_spans(count)]
-    results = map_blocks(cot_block, jobs)
-    value = merge_partials([(s, c) for s, c, _e, _m in results])
-    err = math.fsum(e for _s, _c, e, _m in results)
-    min_u = min(m for _s, _c, _e, m in results)
-    return value, err, min_u
+    s, comp, err, min_u = cot_block(0, ctx.omega.mantissa, P, count, (count + 1) * 2.0 ** (-P), square)
+    return merge_partials([(s, comp)]), err, min_u
 
 
 def cot2_sum(n: int, ctx: GoldenCtx) -> float:

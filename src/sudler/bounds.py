@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._engine import neumaier, orbit
+from ._engine import cot_terms, neumaier, orbit
 from .errors import PrecisionExhausted
 from .fibcore import OMEGA, zeckendorf
 from .goldenangle import GoldenCtx
@@ -203,9 +203,7 @@ def _log_factored_perturbed(n: int, alpha_m: int, ctx: GoldenCtx) -> tuple[float
     sa = math.sin(math.pi * alpha)
     total = comp = err = 0.0
     for _lo, x, neg in orbit(0, ctx.omega.mantissa, ctx.P, fn):
-        arg = np.pi * x
-        cot = np.cos(arg) / np.sin(arg)
-        cot = np.where(neg, -cot, cot)
+        cot = cot_terms(x, neg, 0.0)[0]
         factor = ca + cot * sa
         if factor.min() <= 0.0:
             raise ArithmeticError("factored perturbation term is nonpositive")
@@ -270,14 +268,14 @@ def _split_walk(k: int, ctx: GoldenCtx) -> list[tuple[int, int, int]]:
 
 
 def _assemble_split(
-    walk: list[tuple[int, int, int]], ctx: GoldenCtx, memo: dict
+    walk: list[tuple[int, int, int]], ctx: GoldenCtx, logs: dict
 ) -> tuple[tuple[SegmentFactor, ...], float, float]:
     one = 1 << ctx.P
     segments: list[SegmentFactor] = []
     parts: list[float] = []
     err = 0.0
     for s, tail, alpha_m in walk:
-        log_f, seg_err = memo[(s, tail)]
+        log_f, seg_err = logs[(s, tail)]
         segments.append(
             SegmentFactor(
                 s=s, k_s=tail, alpha=alpha_m / one, log_factor=log_f, factor=math.exp(log_f)
@@ -288,42 +286,38 @@ def _assemble_split(
     return tuple(segments), math.fsum(parts), err
 
 
-def _split_log(
-    k: int, ctx: GoldenCtx, memo: dict | None = None
-) -> tuple[tuple[SegmentFactor, ...], float, float]:
+def _split_log(k: int, ctx: GoldenCtx) -> tuple[tuple[SegmentFactor, ...], float, float]:
     """Zeckendorf segment factors of P_k with their combined log and error:
     the one-k case of ``split_logs``."""
-    return next(split_logs([k], ctx, memo))
+    return next(split_logs([k], ctx))
 
 
 def split_logs(
-    ks: Iterable[int], ctx: GoldenCtx, memo: dict | None = None
+    ks: Iterable[int], ctx: GoldenCtx
 ) -> Iterator[tuple[tuple[SegmentFactor, ...], float, float]]:
     """Zeckendorf segment factors of P_k with their combined log and error,
-    for every k in ks; ``memo`` (keyed by (s, k_s)) lets bulk scans share
-    segment factors.
+    for every k in ks.
 
-    The factors missing from ``memo`` are computed first: all segments
-    with index s have F_s terms, so they are the rows of one batched
-    product per s.  The per-k results are then assembled lazily from the
-    memo, so a scan over many k holds one of them at a time.
+    Every distinct segment factor, keyed by (s, k_s), is computed once and
+    first: all segments with index s have F_s terms, so they are the rows
+    of one batched product per s.  The per-k results are then assembled
+    lazily, so a scan over many k holds one of them at a time.
     """
-    memo = {} if memo is None else memo
     walks = [_split_walk(k, ctx) for k in ks]
-    missing: dict[int, dict[int, int]] = {}
+    tails: dict[int, dict[int, int]] = {}
     for walk in walks:
         for s, tail, alpha_m in walk:
-            if (s, tail) not in memo:
-                missing.setdefault(s, {})[tail] = alpha_m
-    for s, rows in missing.items():
-        logs = log_abs_sin_product(
+            tails.setdefault(s, {})[tail] = alpha_m
+    logs: dict[tuple[int, int], tuple[float, float]] = {}
+    for s, rows in tails.items():
+        row_logs = log_abs_sin_product(
             ctx.fibs.fib(s),
             ctx,
             alpha_mantissa=list(rows.values()),
             alpha_err=[(tail + 1) * 2.0 ** (-ctx.P) for tail in rows],
         )
-        memo.update(zip([(s, tail) for tail in rows], logs))
-    return (_assemble_split(walk, ctx, memo) for walk in walks)
+        logs.update(zip([(s, tail) for tail in rows], row_logs))
+    return (_assemble_split(walk, ctx, logs) for walk in walks)
 
 
 def split_product(k: int, ctx: GoldenCtx) -> SplitProduct:

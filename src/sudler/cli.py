@@ -6,8 +6,8 @@ scan), and the verification suite (identities, verify).
 
 Numerical outputs print 17 significant digits together with the rigorous
 error bound where one is tracked.  CSV floats use shortest round-trip
-decimals.  Sums run over fixed blocks merged in index order, so output is
-reproducible bit for bit; ``--workers`` is accepted (N >= 1) and ignored.
+decimals.  Every sum runs in one fixed order, so output is reproducible
+bit for bit; ``--workers`` is accepted (N >= 1) and ignored.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
 3 precision exhaustion.  SUDLER_PRECISION_BITS overrides the default
@@ -61,7 +61,7 @@ def _common_flags() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="accepted and ignored; must be >= 1 (blocks run in one thread)",
+        help="accepted and ignored; must be >= 1 (every sum runs in one thread)",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     common.add_argument(
@@ -127,7 +127,11 @@ def _emit_csv(rows, header: str, cfg: RunConfig, stdout: IO[str]) -> None:
     if cfg.output == "-":
         sink(stdout)
     else:
-        with open(cfg.output, "w") as fh:
+        try:
+            fh = open(cfg.output, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot open --output {cfg.output!r}: {exc.strerror}") from exc
+        with fh:
             sink(fh)
 
 

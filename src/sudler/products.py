@@ -46,7 +46,6 @@ from ._engine import (
     CHUNK,
     TERM_FLOOR,
     TREE_RATE,
-    block_spans,
     log2sin_block,
     log2sin_terms,
     map_blocks,
@@ -96,6 +95,9 @@ _C_RATE, _C_POW = 80.0 * _EPS, 5.0
 _B_TERM, _C_TERM = 1.25, 1.0
 
 _STEPS = np.arange(1, CHUNK + 1, dtype=np.int64)
+# Values of t per pairwise-sum buffer in the factor walk: the buffer holds
+# every row of a batch at once, and all of F_40/2 would take about 800 MB.
+_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def log_abs_sin_product(
 
     alpha enters as a signed mantissa in units of 2^-P.  Given a sequence of
     mantissas (rows) and a scalar or one alpha_err per row, it returns a
-    list of (log, err), one per row, from one kernel call per block.
+    list of (log, err), one per row, from one kernel call over all rows.
     Raises PrecisionExhausted when a rigorous error bound crosses ERR_BUDGET,
     before any kernel work when the bound's float64 floor alone does, and
     otherwise naming the larger part of the bound: the log terms' float64
@@ -204,25 +206,16 @@ def log_abs_sin_product(
         return out[0] if single else out
     _check_floor(count)
     P = ctx.P
-    w = ctx.omega.mantissa
-    one = 1 << P
     ang_err = (count + 1) * 2.0 ** (-P) + np.asarray(alpha_err, dtype=np.float64)
-    jobs = [
-        ([(s * w + a) % one for a in alphas], w, P, cnt, ang_err)
-        for s, cnt in block_spans(count)
-    ]
-    blocks = map_blocks(log2sin_block, jobs)
+    sums = log2sin_block(alphas, ctx.omega.mantissa, P, count, ang_err)
     out = []
-    # each row holds one anchor's (sum, compensation, err, angle part), block by block
-    for row in zip(*(zip(s.tolist(), c.tolist(), e.tolist(), a.tolist()) for s, c, e, a in blocks)):
-        err = math.fsum(e for _s, _c, e, _a in row)
+    for s, c, err, ang in zip(*(v.tolist() for v in sums)):
         if err > ERR_BUDGET:
-            ang = math.fsum(a for _s, _c, _e, a in row)
             _refuse(
                 f"log-product at count={count}, P={P}", err, err - ang, ang,
                 "the P-bit angle term", "the log terms' float64 rounding",
             )
-        out.append((merge_partials([(s, c) for s, c, _e, _a in row]), err))
+        out.append((merge_partials([(s, c)]), err))
     return out[0] if single else out
 
 
@@ -332,9 +325,9 @@ def _walk_half(n: int, ctx: GoldenCtx, terms: list) -> tuple[list[float], list[f
 
     Each chunk's log-terms are stacked as rows, zero-padded to CHUNK and
     summed by ``pairwise_sum``, each row within TREE_RATE sum |term|; one
-    call sums all chunks of a block.  The walk runs the blocks of the fixed
-    block_spans partition in index order, and every row's chunk sums merge
-    by one math.fsum in that order.
+    call sums all chunks of a batch of _BATCH values of t.  The batches run
+    in index order, and every row's chunk sums merge by one math.fsum in
+    that order.
     """
     fn = ctx.fibs.fib(n)
     fn1 = ctx.fibs.fib(n - 1)
@@ -342,7 +335,7 @@ def _walk_half(n: int, ctx: GoldenCtx, terms: list) -> tuple[list[float], list[f
     if half <= 0:
         return [0.0] * len(terms), [0.0] * len(terms)
 
-    def block(t0: int, cnt: int) -> tuple[np.ndarray, np.ndarray]:
+    def batch(t0: int, cnt: int) -> tuple[np.ndarray, np.ndarray]:
         buf = np.zeros((len(terms), -(-cnt // CHUNK), CHUNK))
         weights = np.zeros(len(terms))
         for j, (t, d) in enumerate(_residue_chunks(t0, cnt, fn1, fn)):
@@ -351,7 +344,8 @@ def _walk_half(n: int, ctx: GoldenCtx, terms: list) -> tuple[list[float], list[f
                 weights[row] += g.sum()
         return pairwise_sum(buf), weights
 
-    results = map_blocks(block, block_spans(half))
+    spans = [(t0, min(_BATCH, half - t0)) for t0 in range(0, half, _BATCH)]
+    results = map_blocks(batch, spans)
     chunk_sums = np.concatenate([sums for sums, _w in results], axis=1)
     log_sums = [math.fsum(row) for row in chunk_sums.tolist()]
     weights = [math.fsum(col) for col in zip(*(w.tolist() for _s, w in results))]

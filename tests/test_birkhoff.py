@@ -20,7 +20,7 @@ from sudler import (
     sudler_P,
     sum_series,
 )
-from sudler._engine import BLOCK
+from sudler import birkhoff
 from sudler.birkhoff import PARTIAL_SUM_K, _cot_sum_raw, direct_k_sin_sum, direct_sin_sum, discrepancy_scan
 
 mpmath.mp.dps = 60
@@ -139,6 +139,13 @@ class TestCotSums:
     def test_cot2_terms_positive_structure(self, ctx):
         assert cot2_sum(5, ctx) > 0
 
+    def test_total_is_one_kernel_call(self, ctx, monkeypatch):
+        calls = []
+        kernel = birkhoff.cot_block
+        monkeypatch.setattr(birkhoff, "cot_block", lambda *a: calls.append(a[3]) or kernel(*a))
+        _cot_sum_raw(ctx.fibs.fib(25), ctx, False)
+        assert calls == [ctx.fibs.fib(25)]
+
     def test_cot_profile_consistency(self, ctx):
         n = 8
         rows = list(cot_profile(n, ctx))
@@ -154,12 +161,13 @@ class TestCotSums:
         assert abs(rows[-1][1] - sign * (full - last_term)) < 1e-10
 
     def test_cot_profile_rows_equal_totals_across_blocks(self, ctx):
-        """Rows on both sides of a block cut, and the last row, are
-        bit-identical to the blocked total over k terms."""
+        """Rows on both sides of 2^16, and the last row, are bit-identical
+        to the total over k terms."""
         n = 25
+        k16 = 1 << 16
         rows = dict(cot_profile(n, ctx))
         sign = (-1.0) ** n
-        for k in (BLOCK - 1, BLOCK, BLOCK + 1, ctx.fibs.fib(n) - 1):
+        for k in (k16 - 1, k16, k16 + 1, ctx.fibs.fib(n) - 1):
             assert rows[k] == sign * _cot_sum_raw(k, ctx, False)[0], k
 
 

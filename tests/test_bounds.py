@@ -155,10 +155,9 @@ class TestSplitLogs:
     """The batched split must equal one _split_log call per k bit for bit."""
 
     @staticmethod
-    def assert_matches_per_k(ctx, ks, memo=None):
-        got = [split_bits(r) for r in split_logs(ks, ctx, memo)]
-        ref_memo: dict = {}  # filled by single-anchor products only
-        want = [split_bits(_split_log(k, ctx, ref_memo)) for k in ks]
+    def assert_matches_per_k(ctx, ks):
+        got = [split_bits(r) for r in split_logs(ks, ctx)]
+        want = [split_bits(_split_log(k, ctx)) for k in ks]
         assert got == want
 
     def test_every_k_up_to_3000(self, ctx):
@@ -170,20 +169,11 @@ class TestSplitLogs:
         self.assert_matches_per_k(make_ctx(64), range(1, 1001))
 
     def test_two_block_segment(self, ctx):
-        """F_25 + 7 has an s = 25 segment of 75025 terms, more than one
-        BLOCK, so its rows are merged across two blocks."""
+        """F_25 + 7 has an s = 25 segment of 75025 terms, more than 2^16,
+        so each of its rows runs through ten chunks."""
         ks = [fib(25) - 1, fib(25) + 7]
         self.assert_matches_per_k(ctx, ks)
         assert [g.s for g in _split_log(fib(25) + 7, ctx)[0]] == [25, 5, 3]
-
-    def test_shared_memo_across_calls(self, ctx):
-        memo: dict = {}
-        first = [split_bits(r) for r in split_logs(range(1, 400), ctx, memo)]
-        size = len(memo)
-        again = [split_bits(r) for r in split_logs(range(1, 400), ctx, memo)]
-        assert len(memo) == size and again == first
-        self.assert_matches_per_k(ctx, range(300, 700), memo)
-        assert len(memo) > size
 
 
 class TestPowerLaw:

@@ -152,6 +152,12 @@ def test_output_file(tmp_path):
     assert path.read_text().startswith("k,P,logP\n")
 
 
+def test_unopenable_output_is_argument_error(tmp_path, capsys):
+    status = cli.run(["profile", "5", "-o", str(tmp_path / "missing" / "x.csv")])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("argument error: cannot open --output")
+
+
 def test_identities_subcommand():
     status, out = run(["identities", "30"])
     assert status == 0

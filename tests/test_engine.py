@@ -15,7 +15,6 @@ import pytest
 import sudler
 from sudler import PrecisionExhausted, make_ctx
 from sudler._engine import (
-    BLOCK,
     CHUNK,
     TREE_RATE,
     _fold,
@@ -229,17 +228,18 @@ class TestLog2SinBlock:
     @pytest.mark.parametrize("stride", [1, 7])
     def test_prefix_walk_equals_direct_sums(self, ctx, stride):
         """The walk's value at k is bit-identical to the total over k terms,
-        wherever k falls relative to the chunk and block cuts; at stride 7
-        the first emitted k at or after each cut is checked."""
+        wherever k falls relative to the chunk cuts, up to k past 2^16; at
+        stride 7 the first emitted k at or after each cut is checked."""
         P, w = ctx.P, ctx.omega.mantissa
-        count = BLOCK + 2 * CHUNK + 16  # 1 mod 7, so emitted at both strides
+        k16 = 1 << 16
+        count = k16 + 2 * CHUNK + 16  # 1 mod 7, so emitted at both strides
         ends, rows = [], {}
         for end, chunk_rows, _err, _ang in prefix_sums(log2sin_terms, w, P, count, stride):
             ends.append(end)
             rows.update(chunk_rows)
         assert ends == [*range(CHUNK, count, CHUNK), count]
         assert list(rows) == list(range(1, count + 1, stride))
-        for k in (1, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1, count):
+        for k in (1, CHUNK - 1, CHUNK, CHUNK + 1, k16 - 1, k16, k16 + 1, count):
             k += -(k - 1) % stride
             assert rows[k] == log_abs_sin_product(k, ctx)[0], k
 

@@ -36,6 +36,7 @@ from sudler.products import (
     _log_perturbation_product,
     _omega_pow_err,
     _residue_chunks,
+    log_abs_sin_product,
     u_t,
 )
 
@@ -170,6 +171,18 @@ def test_exhausted_bound_names_float64_rounding(ctx):
         sudler_P(1_700_000, ctx)
 
 
+def test_total_is_one_kernel_call(ctx, monkeypatch):
+    """Every row of a total runs through one log2sin_block call over all
+    its terms, however many there are."""
+    calls = []
+    kernel = products.log2sin_block
+    monkeypatch.setattr(products, "log2sin_block", lambda *a: calls.append(a[3]) or kernel(*a))
+    count = 3 * (1 << 16) + 5
+    log_value, _err = log_abs_sin_product(count, ctx)
+    assert calls == [count]
+    assert log_value == sudler_P(count, ctx).log_value
+
+
 class TestRational:
     def test_recovers_denominator(self):
         assert abs(sudler_P_rational(1, 5, 4) - 5.0) < 5e-12
@@ -264,8 +277,8 @@ class TestDecomposition:
 
 class TestVectorisedFactors:
     """The half-period walk covers (F_n - 1)/2 values of t: 37511 at n = 24
-    and 37512 at n = 25 cross a CHUNK boundary, 98208 at n = 27 a BLOCK
-    boundary too."""
+    and 37512 at n = 25 cross a CHUNK boundary, 98208 at n = 27 the
+    boundary of the walk's 2^16-value batches too."""
 
     @pytest.mark.parametrize("include_quadratic", [True, False])
     def test_b_block_matches_scalar_loop(self, ctx, include_quadratic):

@@ -30,6 +30,7 @@ def test_private_names_resolve_and_record_spans(tracer_mod):
         tracer.enabled = True
         ctx = modules["sudler.goldenangle"].make_ctx(192)
         modules["sudler.products"].Q_n(20, ctx)
+        modules["sudler.products"].C_n(20, ctx)  # the factor walk, which calls map_blocks
         results = modules["sudler.verify"].run_checks(level="quick", only={"omega-constants"})
     finally:
         tracer.enabled = False
