@@ -32,9 +32,10 @@ as TREE_RATE per unit of sum |term|.
 Every orbit total is one kernel call: one Neumaier sum runs over all its
 terms, and the result is that running (sum, compensation) pair rounded
 once.  ``prefix_sums`` is the one streamed pass: it runs the same sum
-chunk by chunk and yields the running value at every requested index,
-bit-identical to the total over that many terms, with each chunk's error
-charge, so a streamed caller can stop at the first chunk past its budget.
+chunk by chunk and yields, per chunk, the running values at the
+requested indices as one list, each bit-identical to the total over that
+many terms, with the chunk's error charge, so a streamed caller can stop
+at the first chunk past its budget.
 
 Each sum's terms and their rigorous per-chunk error charges come from one
 term function (``log2sin_terms``, ``cot_terms``), shared by the kernels
@@ -271,9 +272,10 @@ def cot_block(
 
 def prefix_sums(terms, w: int, P: int, count: int, stride: int) -> Iterator[tuple]:
     """Running sums of terms over the orbit a_i = i w/2^P, i = 1..count,
-    chunk by chunk.  Yields (end, rows, err, ang) per chunk: its last
-    index; (k, sum_{i<=k} term_i) for every k = 1, 1 + stride, ... inside
-    it; its error charge and the charge's angle part.
+    chunk by chunk.  Yields (end, ks, values, err, ang) per chunk: its last
+    index; the range of every k = 1, 1 + stride, ... inside it and the
+    list of sum_{i<=k} term_i at those k; its error charge and the
+    charge's angle part.
 
     ``terms(x, neg, ang_err)`` gives a chunk's terms, charge and angle
     part (``log2sin_terms``, ``cot_terms``), with ang_err = (end + 1) 2^-P,
@@ -289,8 +291,7 @@ def prefix_sums(terms, w: int, P: int, count: int, stride: int) -> Iterator[tupl
         run_s, run_c = neumaier(term, s, comp)
         s, comp = run_s[-1], run_c[-1]
         at = slice((-lo) % stride, None, stride)
-        rows = list(zip(range(lo + 1, end + 1)[at], (run_s[at] + run_c[at]).tolist()))
-        yield end, rows, float(err), float(ang)
+        yield end, range(lo + 1, end + 1)[at], (run_s[at] + run_c[at]).tolist(), float(err), float(ang)
 
 
 def map_blocks(fn, jobs: Iterable[tuple], workers: int = 1) -> list:

@@ -178,26 +178,39 @@ def discrepancy_scan(
 
 
 class CotSum(NamedTuple):
+    """A cotangent sum, its normalized omega^n * sum, and a bound on the
+    absolute error of each."""
+
     value: float
     normalized: float
+    err: float
+    normalized_err: float
 
 
 def cot_sum(n: int, ctx: GoldenCtx) -> CotSum:
-    """sum_{r=1}^{F_n} cot(pi r omega) and the normalized omega^n * sum.
+    """sum_{r=1}^{F_n} cot(pi r omega) and the normalized omega^n * sum,
+    with their error bounds.
 
+    The sum's bound is the kernel's charge.  The normalized value's bound
+    is omega^n times that plus |normalized| times omega^n's relative
+    error: the P-bit omega's F_n 2^-P / omega^n, and 3 eps for the
+    rounding of omega^n and of the product and for second-order terms.
     The three-distance minimum (distance omega^n at r = F_n) is asserted
     at runtime rather than trusted.
     """
     if n < 2:
         raise ValueError("level n must be >= 2")
-    value, _err, min_u = _cot_sum_raw(ctx.fibs.fib(n), ctx, square=False)
+    fn = ctx.fibs.fib(n)
+    value, err, min_u = _cot_sum_raw(fn, ctx, square=False)
     pw = ctx.omega_pow_float(n)
     if min_u * 2.0 ** (-ctx.P) < 0.5 * pw:
         raise PrecisionExhausted(
             f"closest approach {min_u * 2.0 ** (-ctx.P):.3e} undercuts the "
             f"three-distance floor at n={n}"
         )
-    return CotSum(value=value, normalized=pw * value)
+    normalized = pw * value
+    pw_err = 3.0 * _EPS + fn * 2.0 ** (-ctx.P) / pw
+    return CotSum(value, normalized, err, pw * err + pw_err * abs(normalized))
 
 
 def _cot_sum_raw(count: int, ctx: GoldenCtx, square: bool) -> tuple[float, float, int]:
@@ -235,15 +248,14 @@ def cot2_bound(n: int, ctx: GoldenCtx) -> float:
     return fn * fn / 3.0 + (1.0 + om2) / (math.pi**2 * pw * pw)
 
 
-def cot_profile(n: int, ctx: GoldenCtx) -> Iterator[tuple[int, float]]:
-    """(k, (-1)^n sum_{r<=k} cot(pi r omega)) for k = 1..F_n - 1."""
+def cot_profile(n: int, ctx: GoldenCtx) -> Iterator[tuple[range, list[float]]]:
+    """Yield (ks, partials) per orbit chunk, the columns k and
+    (-1)^n sum_{r<=k} cot(pi r omega) for k = 1..F_n - 1."""
     if n < 3:
         raise ValueError("level n must be >= 3")
     count = ctx.fibs.fib(n) - 1
-    sign = -1.0 if n % 2 else 1.0
-    for _end, rows, _err, _ang in prefix_sums(cot_terms, ctx.omega.mantissa, ctx.P, count, 1):
-        for k, partial in rows:
-            yield (k, sign * partial)
+    for _end, ks, partials, _err, _ang in prefix_sums(cot_terms, ctx.omega.mantissa, ctx.P, count, 1):
+        yield ks, [-v for v in partials] if n % 2 else partials
 
 
 def birkhoff_S(k: int, ctx: GoldenCtx) -> float:

@@ -367,12 +367,13 @@ def power_law_scan(k_max: int, ctx: GoldenCtx) -> PowerLawReport:
 
     k1, k2 = math.inf, -math.inf
     a1 = a2 = 0
-    for k, log_p in _log_prefix_iter(k_max, 1, ctx):
-        if k < 2:
-            continue
-        ratio = log_p / math.log(k)
-        if ratio < k1:
-            k1, a1 = ratio, k
-        if ratio > k2:
-            k2, a2 = ratio, k
+    for ks, logs in _log_prefix_iter(k_max, 1, ctx):
+        for k, log_p in zip(ks, logs):
+            if k < 2:
+                continue
+            ratio = log_p / math.log(k)
+            if ratio < k1:
+                k1, a1 = ratio, k
+            if ratio > k2:
+                k2, a2 = ratio, k
     return PowerLawReport(k_max=k_max, K1_emp=k1, K2_emp=k2, argmin=a1, argmax=a2)

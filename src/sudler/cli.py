@@ -5,9 +5,13 @@ climit, cotsum, perturbed), CSV emission for plots (profile, cotprofile,
 scan), and the verification suite (identities, verify).
 
 Numerical outputs print 17 significant digits together with the rigorous
-error bound where one is tracked.  CSV floats use shortest round-trip
-decimals.  Every sum runs in one fixed order, so output is reproducible
-bit for bit; ``--workers`` is accepted (N >= 1) and ignored.
+error bound where one is tracked.  The CSV commands take their values a
+chunk of columns at a time and write one string per chunk; floats use
+shortest round-trip decimals.  Nothing is written, and no output file
+opened, before the first chunk is computed, so arguments and up-front
+refusals are settled first.  Every sum runs in one fixed order, so output
+is reproducible bit for bit; ``--workers`` is accepted (N >= 1) and
+ignored.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
 3 precision exhaustion.  SUDLER_PRECISION_BITS overrides the default
@@ -17,12 +21,14 @@ working precision.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO
+from typing import IO, Iterator
 
 from . import birkhoff as bk
 from . import bounds as bd
@@ -30,7 +36,7 @@ from . import fibcore as fc
 from . import products as pr
 from . import verify as vf
 from .errors import PrecisionExhausted, PrecisionTooLow
-from .goldenangle import DEFAULT_PRECISION_BITS, make_ctx
+from .goldenangle import DEFAULT_PRECISION_BITS, GoldenCtx, make_ctx
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -116,13 +122,22 @@ def _resolve_precision(value: int | None) -> int:
     return int(env) if env else DEFAULT_PRECISION_BITS
 
 
-def _emit_csv(rows, header: str, cfg: RunConfig, stdout: IO[str]) -> None:
-    """Write CSV with shortest round-trip float fields, newline-terminated."""
+def _emit_csv(chunks, header: str, cfg: RunConfig, stdout: IO[str]) -> None:
+    """Write CSV from chunks of columns, one string per chunk: ints and
+    shortest round-trip floats (``%r``; columns hold Python ints and
+    floats), newline-terminated.
+
+    The first chunk is drawn before the header is written or the output
+    opened, so a refusal that comes before any row leaves neither.
+    """
+    chunks = iter(chunks)
+    first = list(itertools.islice(chunks, 1))
+    line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
 
     def sink(fh: IO[str]) -> None:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        for cols in itertools.chain(first, chunks):
+            fh.write("".join(map(line.__mod__, zip(*cols))))
 
     if cfg.output == "-":
         sink(stdout)
@@ -133,6 +148,14 @@ def _emit_csv(rows, header: str, cfg: RunConfig, stdout: IO[str]) -> None:
             raise ValueError(f"cannot open --output {cfg.output!r}: {exc.strerror}") from exc
         with fh:
             sink(fh)
+
+
+def _scan_chunks(kmax: int, ctx: GoldenCtx) -> Iterator[tuple[range, list[float]]]:
+    """(ks, ln P_k / ln k) per chunk for k = 2..kmax (ln 1 = 0 drops k = 1)."""
+    for ks, logs in pr._log_prefix_iter(kmax, 1, ctx):
+        if ks[0] == 1:
+            ks, logs = ks[1:], logs[1:]
+        yield ks, list(map(operator.truediv, logs, map(math.log, ks)))
 
 
 def _g(x: float) -> str:
@@ -208,23 +231,22 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
         return 0
     if cmd == "cotsum":
         cs = bk.cot_sum(args.n, ctx)
-        print(f"sum cot(pi r omega), r <= F_{args.n} = {_g(cs.value)}", file=out)
-        print(f"normalized omega^{args.n} * sum = {_g(cs.normalized)}", file=out)
+        print(f"sum cot(pi r omega), r <= F_{args.n} = {_g(cs.value)}  (|err| <= {cs.err:.3e})", file=out)
+        print(
+            f"normalized omega^{args.n} * sum = {_g(cs.normalized)}  (|err| <= {cs.normalized_err:.3e})",
+            file=out,
+        )
         return 0
     if cmd == "cotprofile":
         _emit_csv(bk.cot_profile(args.n, ctx), "k,partial", cfg, out)
         return 0
     if cmd == "profile":
-        rows = pr.profile(args.n, args.stride, ctx)
-        _emit_csv(rows, "k,P,logP", cfg, out)
+        _emit_csv(pr.profile(args.n, args.stride, ctx), "k,P,logP", cfg, out)
         return 0
     if cmd == "scan":
-        rows = (
-            (k, log_p / math.log(k))
-            for k, log_p in pr._log_prefix_iter(args.kmax, 1, ctx)
-            if k >= 2
-        )
-        _emit_csv(rows, "k,logP_over_logk", cfg, out)
+        if args.kmax < 2:
+            raise ValueError(f"KMAX must be >= 2, got {args.kmax}")
+        _emit_csv(_scan_chunks(args.kmax, ctx), "k,logP_over_logk", cfg, out)
         return 0
     if cmd == "perturbed":
         alpha = Fraction(args.alpha)

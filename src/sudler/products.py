@@ -556,19 +556,20 @@ def ratio_PFn_minus1(n: int, ctx: GoldenCtx) -> float:
     return sudler_P(fn - 1, ctx).value / fn
 
 
-def _log_prefix_iter(count: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[int, float]]:
-    """Yield (k, log P_k) for k = 1, 1 + stride, ... <= count from one
+def _log_prefix_iter(count: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[range, list[float]]]:
+    """Yield (ks, logs) per orbit chunk: the range of k = 1, 1 + stride, ...
+    <= count inside it and the list of log P_k at those k, from one
     incremental pass (``_engine.prefix_sums``), so an emitted value at k is
     bit-identical to sudler_P(k).log_value.
 
-    Raises PrecisionExhausted before the first row when the float64 floor
+    Raises PrecisionExhausted before the first chunk when the float64 floor
     of count terms exceeds ERR_BUDGET, and otherwise at the first chunk
     whose running bound does, naming its last k and the bound's larger part.
     """
     _check_floor(count)
     P = ctx.P
     err = ang = 0.0
-    for end, rows, e, a in prefix_sums(log2sin_terms, ctx.omega.mantissa, P, count, stride):
+    for end, ks, logs, e, a in prefix_sums(log2sin_terms, ctx.omega.mantissa, P, count, stride):
         err += e
         ang += a
         if err > ERR_BUDGET:
@@ -576,15 +577,16 @@ def _log_prefix_iter(count: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[
                 f"prefix pass at k={end}, P={P}", err, err - ang, ang,
                 "the P-bit angle term", "the log terms' float64 rounding",
             )
-        yield from rows
+        yield ks, logs
 
 
-def profile(n_max: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[int, float, float]]:
-    """Yield (k, P_k, log P_k) for k = 1, 1 + stride, ... up to F_{n_max},
-    computed incrementally in a single pass over the orbit (no re-products)."""
+def profile(n_max: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[range, list[float], list[float]]]:
+    """Yield (ks, ps, logs) per orbit chunk, the columns k, P_k and log P_k
+    for k = 1, 1 + stride, ... up to F_{n_max}, computed incrementally in a
+    single pass over the orbit (no re-products)."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    for k, log_p in _log_prefix_iter(ctx.fibs.fib(n_max), stride, ctx):
-        yield (k, math.exp(log_p), log_p)
+    for ks, logs in _log_prefix_iter(ctx.fibs.fib(n_max), stride, ctx):
+        yield ks, list(map(math.exp, logs)), logs

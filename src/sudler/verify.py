@@ -13,6 +13,7 @@ unattainable assertion is reported as failed with the measured value.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 import time
@@ -436,6 +437,19 @@ def check_power_law_k1_sign(cfg: _Cfg) -> CheckResult:
     )
 
 
+def _prefix_logs(targets: list[int], ctx: GoldenCtx) -> dict[int, float]:
+    """log P_k for every k in the sorted list targets, from one stride-1
+    prefix pass up to targets[-1]; each chunk's targets are picked by
+    index, k - ks.start."""
+    logs: dict[int, float] = {}
+    for ks, chunk in pr._log_prefix_iter(targets[-1], 1, ctx):
+        lo = bisect.bisect_left(targets, ks.start)
+        hi = bisect.bisect_left(targets, ks.stop, lo)
+        for k in targets[lo:hi]:
+            logs[k] = chunk[k - ks.start]
+    return logs
+
+
 def check_split_product(cfg: _Cfg) -> CheckResult:
     ctx = cfg.ctx
     k_max = _q(cfg, 1000, 10_000)
@@ -444,8 +458,7 @@ def check_split_product(cfg: _Cfg) -> CheckResult:
         {2 + (hash((cfg.seed, i)) % (fc.fib(25) - 2)) for i in range(_q(cfg, 10, 100))}
     )
     ks = [*range(1, k_max + 1), *rng_ks]
-    wanted = set(ks)
-    directs = {k: log_p for k, log_p in pr._log_prefix_iter(max(ks), 1, ctx) if k in wanted}
+    directs = _prefix_logs(sorted(set(ks)), ctx)
     worst = 0.0
     for k, (_segments, log_split, _err) in zip(ks, bd.split_logs(ks, ctx)):
         rel = abs(math.expm1(log_split - directs[k]))
@@ -540,11 +553,7 @@ def check_multiplicativity(cfg: _Cfg) -> CheckResult:
     k_max = fc.fib(n_hi)
     rng = _random.Random(cfg.seed)
     targets = sorted({rng.randrange(1, k_max - 1) for _ in range(n_samples)})
-    wanted = set(targets) | {t + 1 for t in targets}
-    logs: dict[int, float] = {}
-    for k, log_p in pr._log_prefix_iter(k_max, 1, ctx):
-        if k in wanted:
-            logs[k] = log_p
+    logs = _prefix_logs(sorted(set(targets) | {t + 1 for t in targets}), ctx)
     worst = 0.0
     for k in targets:
         term = math.log(abs(2.0 * math.sin(math.pi * frac_r_omega(k + 1, ctx).to_float())))
@@ -674,13 +683,14 @@ def check_profile_consistency(cfg: _Cfg) -> CheckResult:
     peaks: dict[int, float] = {}
     run_max, run_arg = 0.0, 1
     mismatch = 0.0
-    for k, p_k, _log_p in pr.profile(n_ref, 1, ctx):
-        if p_k > run_max:
-            run_max, run_arg = p_k, k
-        if k in want:
-            direct = pr.Q_n(want[k], ctx).value
-            mismatch = max(mismatch, abs(p_k - direct))
-            peaks[k] = run_max
+    for ks, ps, _logs in pr.profile(n_ref, 1, ctx):
+        for k, p_k in zip(ks, ps):
+            if p_k > run_max:
+                run_max, run_arg = p_k, k
+            if k in want:
+                direct = pr.Q_n(want[k], ctx).value
+                mismatch = max(mismatch, abs(p_k - direct))
+                peaks[k] = run_max
     # peaks grow roughly linearly: max over k <= F_n sits near F_n - 1 and
     # scales like the running index
     ratios = [peaks[fc.fib(n)] / fc.fib(n) for n in range(8, n_ref + 1)]

@@ -132,6 +132,18 @@ class TestCotSums:
             if n >= 4:
                 assert abs(cot2_sum(n, ctx) - float(want2)) < 1e-11
 
+    @pytest.mark.parametrize("n", [5, 10, 15, 18, 20, 21])
+    def test_bounds_cover_mpmath(self, ctx, n):
+        """The sum and its normalized value are within their bounds of the
+        exact sum at 40 digits."""
+        cs = cot_sum(n, ctx)
+        with mpmath.workdps(40):
+            omega = (mpmath.sqrt(5) - 1) / 2
+            rs = range(1, ctx.fibs.fib(n) + 1)
+            exact = mpmath.fsum(mpmath.cot(mpmath.pi * mpmath.frac(r * omega)) for r in rs)
+            assert abs(cs.value - exact) <= cs.err
+            assert abs(cs.normalized - omega**n * exact) <= cs.normalized_err
+
     def test_normalized_windows(self, ctx):
         for n in range(2, 20):
             assert -0.71 < cot_sum(n, ctx).normalized < 0.71
@@ -148,7 +160,7 @@ class TestCotSums:
 
     def test_cot_profile_consistency(self, ctx):
         n = 8
-        rows = list(cot_profile(n, ctx))
+        rows = [row for ks, partials in cot_profile(n, ctx) for row in zip(ks, partials)]
         sign = (-1.0) ** n
         assert rows[0][0] == 1
         assert abs(rows[0][1] - sign * float(mpmath.cot(mpmath.pi * MP_OMEGA))) < 1e-13
@@ -165,7 +177,7 @@ class TestCotSums:
         to the total over k terms."""
         n = 25
         k16 = 1 << 16
-        rows = dict(cot_profile(n, ctx))
+        rows = {k: v for ks, partials in cot_profile(n, ctx) for k, v in zip(ks, partials)}
         sign = (-1.0) ** n
         for k in (k16 - 1, k16, k16 + 1, ctx.fibs.fib(n) - 1):
             assert rows[k] == sign * _cot_sum_raw(k, ctx, False)[0], k

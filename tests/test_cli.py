@@ -1,10 +1,12 @@
 """Command-line surface: outputs, exit codes, reproducibility."""
 
+import hashlib
 import io
+import math
 
 import pytest
 
-from sudler import cli
+from sudler import birkhoff, cli, products
 
 
 def run(args):
@@ -83,6 +85,84 @@ def test_profile_past_the_float64_floor_refused_before_any_row(capsys):
     assert status == 3
     assert out.splitlines()[1:] == []
     assert "rounding floor" in capsys.readouterr().err
+
+
+def test_profile_refusals_write_nothing(tmp_path, capsys):
+    """An argument error or the up-front floor refusal comes before the
+    header, on stdout and with -o, which then creates no file."""
+    path = tmp_path / "profile.csv"
+    cases = ((["profile", "0"], 2), (["profile", "5", "--stride", "0"], 2), (["profile", "32"], 3))
+    for args, status in cases:
+        assert run(args) == (status, ""), args
+        assert cli.run(args + ["-o", str(path)]) == status, args
+        assert not path.exists(), args
+    assert "stride must be >= 1" in capsys.readouterr().err
+
+
+def test_cotprofile_below_level_3_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "cot.csv"
+    assert run(["cotprofile", "2"]) == (2, "")
+    assert cli.run(["cotprofile", "2", "-o", str(path)]) == 2
+    assert not path.exists()
+    assert "level n must be >= 3" in capsys.readouterr().err
+
+
+def test_scan_below_2_is_argument_error(capsys):
+    """ln P_k / ln k starts at k = 2, as in power_law_scan."""
+    for kmax in ("1", "0", "-5"):
+        assert run(["scan", kmax]) == (2, ""), kmax
+    assert "KMAX must be >= 2" in capsys.readouterr().err
+
+
+def per_row_csv(header, rows):
+    """The CSV writer before it formatted whole chunks: one join per row."""
+    lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n" for row in rows]
+    return header + "\n" + "".join(lines)
+
+
+def flat(chunks):
+    return [row for cols in chunks for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("args", [
+    ["profile", "22", "--stride", "1"],
+    ["profile", "22", "--stride", "7"],
+    ["cotprofile", "21"],
+    ["cotprofile", "22"],
+    ["scan", "20000"],
+], ids="-".join)
+def test_chunked_csv_equals_per_row_writer(ctx, args):
+    """Each output crosses chunk cuts; cotprofile 21 is negated and scan
+    drops k = 1."""
+    n = int(args[1])
+    if args[0] == "profile":
+        want = per_row_csv("k,P,logP", flat(products.profile(n, int(args[3]), ctx)))
+    elif args[0] == "cotprofile":
+        want = per_row_csv("k,partial", flat(birkhoff.cot_profile(n, ctx)))
+    else:
+        rows = flat(products._log_prefix_iter(n, 1, ctx))
+        want = per_row_csv("k,logP_over_logk", [(k, lp / math.log(k)) for k, lp in rows if k >= 2])
+    assert run(args) == (0, want)
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["profile", "27", "--stride", "1"], "ba632e150bd6c0d6de412d235827a9770b5bc0c77ddea6f8ed96b51768be6853"),
+    (["cotprofile", "25"], "2c51fd5ad5278c84dce609399de13bba4803500dcca2bcbb497b233e5b5951bc"),
+], ids=["profile-27", "cotprofile-25"])
+def test_csv_bytes_pinned(args, digest):
+    """sha256 of the output of the per-row writer these commands had
+    before the CSV went out a chunk at a time."""
+    status, out = run(args)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cotsum_prints_its_bounds():
+    status, out = run(["cotsum", "10"])
+    assert status == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 and all("(|err| <= " in line for line in lines)
+    assert 0 < float(lines[0].rsplit("<= ", 1)[1].rstrip(")")) < 1e-12
 
 
 def test_scan_refusal_names_float64_rounding(tmp_path, capsys):

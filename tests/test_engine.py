@@ -234,9 +234,9 @@ class TestLog2SinBlock:
         k16 = 1 << 16
         count = k16 + 2 * CHUNK + 16  # 1 mod 7, so emitted at both strides
         ends, rows = [], {}
-        for end, chunk_rows, _err, _ang in prefix_sums(log2sin_terms, w, P, count, stride):
+        for end, ks, values, _err, _ang in prefix_sums(log2sin_terms, w, P, count, stride):
             ends.append(end)
-            rows.update(chunk_rows)
+            rows.update(zip(ks, values))
         assert ends == [*range(CHUNK, count, CHUNK), count]
         assert list(rows) == list(range(1, count + 1, stride))
         for k in (1, CHUNK - 1, CHUNK, CHUNK + 1, k16 - 1, k16, k16 + 1, count):

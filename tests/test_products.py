@@ -384,12 +384,12 @@ class TestRatioPFnMinus1:
 
 class TestProfile:
     def test_matches_direct_products_bitwise(self, ctx):
-        series = dict((k, lp) for k, _p, lp in profile(10, 1, ctx))
+        series = {k: lp for ks, _ps, lps in profile(10, 1, ctx) for k, lp in zip(ks, lps)}
         for k in (1, 2, 34, 55):
             assert series[k] == sudler_P(k, ctx).log_value
 
     def test_stride_selects_expected_indices(self, ctx):
-        ks = [k for k, _p, _lp in profile(7, 5, ctx)]
+        ks = [k for chunk_ks, _ps, _lps in profile(7, 5, ctx) for k in chunk_ks]
         assert ks == [1, 6, 11]
 
     def test_refused_before_first_row_past_the_float64_floor(self, ctx, monkeypatch):
@@ -410,8 +410,8 @@ class TestProfile:
         names is at most one CHUNK beyond the last row it streamed."""
         rows = []
         with pytest.raises(PrecisionExhausted, match=r"prefix pass at k=(\d+)") as info:
-            for k, _log_p in products._log_prefix_iter(200_000, 1, make_ctx(64)):
-                rows.append(k)
+            for ks, _logs in products._log_prefix_iter(200_000, 1, make_ctx(64)):
+                rows.extend(ks)
         named = int(re.search(r"k=(\d+)", str(info.value)).group(1))
         assert rows == list(range(1, len(rows) + 1))
         assert 0 < named - rows[-1] <= CHUNK
@@ -427,7 +427,7 @@ class TestProfile:
 
     def test_windowed_peaks_sit_before_fibonacci_indices(self, ctx):
         """Within each window (F_{n-1}, F_n] the largest P_k is at F_n - 1."""
-        values = {k: p for k, p, _lp in profile(13, 1, ctx)}
+        values = {k: p for ks, ps, _lps in profile(13, 1, ctx) for k, p in zip(ks, ps)}
         for n in range(7, 14):
             lo, hi = ctx.fibs.fib(n - 1), ctx.fibs.fib(n)
             argmax = max(range(lo + 1, hi + 1), key=values.__getitem__)
