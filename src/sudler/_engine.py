@@ -14,32 +14,30 @@ precision even at the closest approaches to 0.  Every limb is at most
 M = 2^48 - 1, so the negation is branch-free: M - v = v ^ M, and the low
 limb's 2^48 - v = (v ^ M) + 1.
 
-``orbit`` and ``log2sin_block`` also take a sequence of anchors that share
-one term count: each anchor is a row, rows are cut into slabs of at most
-CHUNK angles, and every row comes out bit-identical to its own call, so
-many short sums (the Zeckendorf segments) share one call's fixed cost.
+``orbit`` takes a sequence of anchors that share one term count: each
+anchor is a row, rows are cut into slabs of at most CHUNK angles, and every
+row comes out bit-identical to a one-row call, so many short sums (the
+Zeckendorf segments) share one call's fixed cost.
 
-Orbit sums use Neumaier compensation in prefix-sum form (``neumaier``):
-one cumulative sum for the running values, the exact TwoSum error of each
-step, and a second cumulative sum for the compensation.  Both sums run
-strictly left to right, so the result is bit-identical to the scalar
-recurrence, and a sum carried from chunk to chunk does not depend on where
-the chunks are cut.  Sums that need no prefixes and whose terms are small
-and charged relative to their size can instead use ``pairwise_sum``, a
-pinned halving tree over one zero-padded chunk, whose error is charged
-as TREE_RATE per unit of sum |term|.
+Every orbit sum is one walk, ``orbit_sums``: it runs ``orbit`` over the
+rows, asks a term function for each chunk's terms and their rigorous
+error charge, and carries one running Neumaier pair per row in prefix-sum
+form (``neumaier``): one cumulative sum for the running values, the exact
+TwoSum error of each step, and a second cumulative sum for the
+compensation.  Both sums run strictly left to right, so the result is
+bit-identical to the scalar recurrence, and a sum carried from chunk to
+chunk does not depend on where the chunks are cut.  A total
+(``log2sin_block``, ``cot_block``) is the running pair after the last
+chunk, rounded once; a prefix pass (``prefix_sums``) reads the running
+pair at the requested indices of every chunk, so each of its values is
+bit-identical to the total over that many terms, and a streamed caller
+can stop at the first chunk past its budget.  The term functions
+(``log2sin_terms``, ``cot_terms``) are shared by both.
 
-Every orbit total is one kernel call: one Neumaier sum runs over all its
-terms, and the result is that running (sum, compensation) pair rounded
-once.  ``prefix_sums`` is the one streamed pass: it runs the same sum
-chunk by chunk and yields, per chunk, the running values at the
-requested indices as one list, each bit-identical to the total over that
-many terms, with the chunk's error charge, so a streamed caller can stop
-at the first chunk past its budget.
-
-Each sum's terms and their rigorous per-chunk error charges come from one
-term function (``log2sin_terms``, ``cot_terms``), shared by the kernels
-and the prefix walk.
+Sums that need no prefixes and whose terms are small and charged relative
+to their size can instead use ``pairwise_sum``, a pinned halving tree over
+one zero-padded chunk, whose error is charged as TREE_RATE per unit of
+sum |term|.
 """
 
 from __future__ import annotations
@@ -92,22 +90,19 @@ def _top_limbs(vs: Sequence[int], P: int) -> np.ndarray:
     return np.array(limbs, dtype=np.uint64)[:, :, None]
 
 
-def orbit(a0, w: int, P: int, count: int) -> Iterator[tuple]:
-    """Yield (lo, x, neg) chunk by chunk for the orbit a_i = (a0 + i*w)/2^P
-    mod 1, i = 1..count; a chunk covers i = lo+1..lo+len(x).
+def orbit(anchors: Sequence[int], w: int, P: int, count: int) -> Iterator[tuple]:
+    """Yield (r0, lo, x, neg) chunk by chunk for the orbits
+    a_i = (a0 + i*w)/2^P mod 1, i = 1..count, of the anchors a0, as rows:
+    x and neg have shape (rows, m) for the anchors r0, r0 + 1, ..., and a
+    chunk covers i = lo+1..lo+m.  Rows are cut into slabs of at most
+    CHUNK // min(count, CHUNK), so no chunk holds more than CHUNK angles.
 
     x is the distance of a_i from the nearest integer, in (0, 1/2], and neg
     marks the a_i above 1/2, whose fold negated them (so {a_i} - 1/2 is
     0.5 - x there and x - 0.5 elsewhere).  Raises PrecisionExhausted when a
     folded angle cannot be told apart from an integer.
-
-    With a sequence of anchors a0 (rows), it yields (r0, lo, x, neg) with
-    x and neg of shape (rows, m) for the anchors r0, r0 + 1, ...; rows are
-    cut into slabs of at most CHUNK // min(count, CHUNK), so no chunk holds
-    more than CHUNK angles.  A single int anchor is the one-row case.
     """
-    single = isinstance(a0, int)
-    anchors = [a0] if single else list(a0)
+    anchors = list(anchors)
     one = 1 << P
     floor = _dropped_err(P)
     width = min(count, CHUNK)
@@ -120,7 +115,7 @@ def orbit(a0, w: int, P: int, count: int) -> Iterator[tuple]:
             x, neg = _fold(iw[:, :, :m] + _top_limbs([(a + lo * w) % one for a in rows], P))
             if x.min() <= floor:
                 raise PrecisionExhausted("rotation angle indistinguishable from an integer")
-            yield (lo, x[0], neg[0]) if single else (r0, lo, x, neg)
+            yield r0, lo, x, neg
 
 
 def _fold(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,21 +198,55 @@ def log2sin_terms(x: np.ndarray, neg: np.ndarray, ang_err) -> tuple:
     return term, _EPS * (TERM_FLOOR * x.shape[-1] + 2.0 * np.abs(term).sum(axis=-1)) + ang, ang
 
 
-def cot_terms(x: np.ndarray, neg: np.ndarray, ang_err: float, square: bool = False) -> tuple:
-    """cot(pi {a}) of one chunk of folded angles x, negated where neg (or
-    cot^2 with square=True), with the chunk's error charge and its angle
-    part, as in ``log2sin_terms``."""
+def cot_terms(x: np.ndarray, neg: np.ndarray, ang_err, square: bool = False) -> tuple:
+    """cot(pi {a}) of folded angles x, negated where neg (or cot^2 with
+    square=True), with the chunk's error charge and its angle part, each
+    summed along the last axis, as in ``log2sin_terms``."""
     arg = np.pi * x
     c = np.cos(arg) / np.sin(arg)
     c2 = c * c
-    abs_c, sq = np.abs(c).sum(), c2.sum()
+    m = x.shape[-1]
+    abs_c, sq = np.abs(c).sum(axis=-1), c2.sum(axis=-1)
     # arg (1 + cot^2 arg) <= pi/2 + |cot arg| on (0, pi/2], so the
     # relative-accurate angle keeps the cot error at O(eps |cot|).
     if square:
         ang = ang_err * 2.0 * np.pi * (sq + abs_c)
-        return c2, _EPS * (6.0 * sq + 8.0 * abs_c + 4.0 * len(x)) + ang, ang
-    ang = ang_err * np.pi * (len(x) + sq)
-    return np.where(neg, -c, c), _EPS * (8.0 * abs_c + 4.0 * len(x)) + ang, ang
+        return c2, _EPS * (6.0 * sq + 8.0 * abs_c + 4.0 * m) + ang, ang
+    ang = ang_err * np.pi * (m + sq)
+    return np.where(neg, -c, c), _EPS * (8.0 * abs_c + 4.0 * m) + ang, ang
+
+
+def orbit_sums(
+    terms, anchors: Sequence[int], w: int, P: int, count: int, ang_err, drift: float = 0.0
+) -> Iterator[tuple]:
+    """The one orbit-sum walk: running sums of terms over the orbits
+    a_i = (a0 + i*w)/2^P, i = 1..count, of the anchors a0 (rows).
+
+    Yields (rows, lo, x, run_s, run_c, err, ang) per chunk of ``orbit``:
+    the slice of anchors it covers, its first index lo and folded angles
+    x, the running Neumaier pair (s_i, c_i) after each of its terms, and
+    its error charge and the charge's angle part, one per row.
+
+    ``terms(x, neg, ang_err)`` gives a chunk's terms, charge and angle part
+    (``log2sin_terms``, ``cot_terms``) from a bound on the absolute error
+    of every angle of a row: the caller's ``ang_err`` (a scalar or one per
+    row) plus drift (end + 1), with end the chunk's last index, plus
+    orbit_err(P).  drift is the P-bit omega's error 2^-P where the bound
+    must grow with the index (a prefix pass); a total charges its whole
+    (count + 1) 2^-P up front in ang_err.  The pair carries from chunk to
+    chunk, so s_i + c_i rounded once is the compensated sum of the first
+    lo + i terms, whatever the chunk cuts.
+    """
+    anchors = list(anchors)
+    ang_err = np.broadcast_to(np.asarray(ang_err, dtype=np.float64), len(anchors))
+    s, comp = np.zeros((2, len(anchors)))
+    for r0, lo, x, neg in orbit(anchors, w, P, count):
+        rows = slice(r0, r0 + len(x))
+        end = lo + x.shape[-1]
+        term, err, ang = terms(x, neg, ang_err[rows] + drift * (end + 1) + orbit_err(P))
+        run_s, run_c = neumaier(term, s[rows], comp[rows])
+        s[rows], comp[rows] = run_s[:, -1], run_c[:, -1]
+        yield rows, lo, x, run_s, run_c, err, ang
 
 
 def log2sin_block(a0, w: int, P: int, count: int, ang_err) -> tuple:
@@ -232,15 +261,11 @@ def log2sin_block(a0, w: int, P: int, count: int, ang_err) -> tuple:
     """
     single = isinstance(a0, int)
     anchors = [a0] if single else list(a0)
-    ang_err = np.broadcast_to(np.asarray(ang_err, dtype=np.float64) + orbit_err(P), len(anchors))
     s, comp, err, ang = np.zeros((4, len(anchors)))
-    for r0, _lo, x, neg in orbit(anchors, w, P, count):
-        rows = slice(r0, r0 + len(x))
-        term, e, a = log2sin_terms(x, neg, ang_err[rows])
+    for rows, _lo, _x, run_s, run_c, e, a in orbit_sums(log2sin_terms, anchors, w, P, count, ang_err):
+        s[rows], comp[rows] = run_s[:, -1], run_c[:, -1]
         err[rows] += e
         ang[rows] += a
-        run_s, run_c = neumaier(term, s[rows], comp[rows])
-        s[rows], comp[rows] = run_s[:, -1], run_c[:, -1]
     if single:
         return float(s[0]), float(comp[0]), float(err[0]), float(ang[0])
     return s, comp, err, ang
@@ -256,17 +281,14 @@ def cot_block(
     three-distance precision guard at runtime.
     """
     one = 1 << P
-    ang_err += orbit_err(P)
     s = comp = err = 0.0
     min_u = one
-    for lo, x, neg in orbit(a0, w, P, count):
+    walk = orbit_sums(lambda x, neg, ang: cot_terms(x, neg, ang, square), [a0], w, P, count, ang_err)
+    for _rows, lo, x, run_s, run_c, e, _ang in walk:
         # the chunk's closest approach, exactly in P-bit units
         a = (a0 + (lo + int(x.argmin()) + 1) * w) % one
         min_u = min(min_u, a, one - a)
-        term, e, _ang = cot_terms(x, neg, ang_err, square)
-        err += e
-        run_s, run_c = neumaier(term, s, comp)
-        s, comp = run_s[-1], run_c[-1]
+        s, comp, err = run_s[0, -1], run_c[0, -1], err + e[0]
     return float(s), float(comp), float(err), min_u
 
 
@@ -277,21 +299,17 @@ def prefix_sums(terms, w: int, P: int, count: int, stride: int) -> Iterator[tupl
     list of sum_{i<=k} term_i at those k; its error charge and the
     charge's angle part.
 
-    ``terms(x, neg, ang_err)`` gives a chunk's terms, charge and angle
-    part (``log2sin_terms``, ``cot_terms``), with ang_err = (end + 1) 2^-P,
-    the P-bit omega's drift at the chunk's last index, plus orbit_err(P).
+    The angle bound is the P-bit omega's drift at the chunk's last index,
+    (end + 1) 2^-P, plus orbit_err(P) (``orbit_sums`` with drift 2^-P).
     The value at k is the running Neumaier pair (s_k, c_k) rounded once,
     s_k + c_k, as every total rounds, so it is bit-identical to the total
     over k terms.
     """
-    s = comp = 0.0
-    for lo, x, neg in orbit(0, w, P, count):
-        end = lo + len(x)
-        term, err, ang = terms(x, neg, (end + 1) * 2.0 ** (-P) + orbit_err(P))
-        run_s, run_c = neumaier(term, s, comp)
-        s, comp = run_s[-1], run_c[-1]
+    for _rows, lo, x, run_s, run_c, err, ang in orbit_sums(terms, [0], w, P, count, 0.0, 2.0 ** (-P)):
+        end = lo + x.shape[-1]
         at = slice((-lo) % stride, None, stride)
-        yield end, range(lo + 1, end + 1)[at], (run_s[at] + run_c[at]).tolist(), float(err), float(ang)
+        values = (run_s[0, at] + run_c[0, at]).tolist()
+        yield end, range(lo + 1, end + 1)[at], values, float(err[0]), float(ang[0])
 
 
 def map_blocks(fn, jobs: Iterable[tuple], workers: int = 1) -> list:

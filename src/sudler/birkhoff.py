@@ -13,15 +13,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._engine import (
-    cot_block,
-    cot_terms,
-    merge_partials,
-    neumaier,
-    orbit,
-    orbit_err,
-    prefix_sums,
-)
+from ._engine import cot_block, cot_terms, merge_partials, orbit_sums, prefix_sums
 from .errors import PrecisionExhausted
 from .fibcore import OMEGA, zeckendorf
 from .goldenangle import GoldenCtx
@@ -32,7 +24,6 @@ __all__ = [
     "CotSum",
     "sum_series",
     "S_nt_splits",
-    "frac_sum_convergent",
     "discrepancy_scan",
     "cot_sum",
     "cot2_sum",
@@ -63,7 +54,6 @@ class SumSeries:
     n: int
     theta: float
     values: tuple[float, ...]
-    err: float
 
 
 def _theta_mantissa(theta, ctx: GoldenCtx) -> int:
@@ -73,18 +63,19 @@ def _theta_mantissa(theta, ctx: GoldenCtx) -> int:
 
 def _sine_partials(
     n: int, anchors: list[int], count: int, ctx: GoldenCtx
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (r0, partials) chunk by chunk, where row j of partials holds the
-    compensated running sums of sin(pi omega^n ({a + r omega} - 1/2)) over
-    r = 1..count for the anchor a = anchors[r0 + j] / 2^P."""
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, partials) chunk by chunk, where row j of partials holds
+    the compensated running sums of sin(pi omega^n ({a + r omega} - 1/2))
+    over r = 1..count for the anchor a = anchors[rows][j] / 2^P."""
     pi_pw = math.pi * ctx.omega_pow_float(n)
-    s, comp = np.zeros((2, len(anchors)))
-    for r0, _lo, x, neg in orbit(anchors, ctx.omega.mantissa, ctx.P, count):
-        rows = slice(r0, r0 + len(x))
-        terms = np.sin(pi_pw * np.where(neg, 0.5 - x, x - 0.5))
-        run_s, run_c = neumaier(terms, s[rows], comp[rows])
-        s[rows], comp[rows] = run_s[:, -1], run_c[:, -1]
-        yield r0, run_s + run_c
+
+    def terms(x, neg, _ang_err):  # the partial sums carry no bound
+        return np.sin(pi_pw * np.where(neg, 0.5 - x, x - 0.5)), 0.0, 0.0
+
+    for rows, _lo, _x, run_s, run_c, _err, _ang in orbit_sums(
+        terms, anchors, ctx.omega.mantissa, ctx.P, count, 0.0
+    ):
+        yield rows, run_s + run_c
 
 
 def sum_series(n: int, t_max: int, theta, ctx: GoldenCtx) -> SumSeries:
@@ -94,12 +85,9 @@ def sum_series(n: int, t_max: int, theta, ctx: GoldenCtx) -> SumSeries:
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     values: list[float] = []
-    for _r0, partials in _sine_partials(n, [_theta_mantissa(theta, ctx)], t_max, ctx):
+    for _rows, partials in _sine_partials(n, [_theta_mantissa(theta, ctx)], t_max, ctx):
         values += partials[0].tolist()
-    pw = ctx.omega_pow_float(n)
-    ang_err = (t_max + 2) * 2.0 ** (-ctx.P) + orbit_err(ctx.P)
-    err = t_max * (4.0 * _EPS * pw + ang_err * (math.pi * pw))
-    return SumSeries(n=n, theta=float(theta), values=tuple(values), err=err)
+    return SumSeries(n=n, theta=float(theta), values=tuple(values))
 
 
 def S_nt_splits(n: int, ts: Iterable[int], ctx: GoldenCtx) -> list[float]:
@@ -128,25 +116,9 @@ def _segment_sums(n: int, s: int, tails: list[int], ctx: GoldenCtx) -> list[floa
     one = 1 << ctx.P
     sums = np.empty(len(tails))
     anchors = [(tail * w) % one for tail in tails]
-    for r0, partials in _sine_partials(n, anchors, ctx.fibs.fib(s), ctx):
-        sums[r0 : r0 + len(partials)] = partials[:, -1]
+    for rows, partials in _sine_partials(n, anchors, ctx.fibs.fib(s), ctx):
+        sums[rows] = partials[:, -1]
     return sums.tolist()
-
-
-def frac_sum_convergent(q: int, alpha, theta) -> float:
-    """sum_{i=1}^{q} ({theta + i alpha} - 1/2), evaluated in exact rational
-    arithmetic; below 3/2 in absolute value whenever q is a convergent
-    denominator of alpha."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    a = Fraction(alpha)
-    th = Fraction(theta)
-    total = Fraction(0)
-    x = th
-    for _ in range(q):
-        x += a
-        total += x % 1
-    return float(total - Fraction(q, 2))
 
 
 def discrepancy_scan(
@@ -201,7 +173,8 @@ def cot_sum(n: int, ctx: GoldenCtx) -> CotSum:
     if n < 2:
         raise ValueError("level n must be >= 2")
     fn = ctx.fibs.fib(n)
-    value, err, min_u = _cot_sum_raw(fn, ctx, square=False)
+    s, comp, err, min_u = cot_block(0, ctx.omega.mantissa, ctx.P, fn, (fn + 1) * 2.0 ** (-ctx.P))
+    value = merge_partials([(s, comp)])
     pw = ctx.omega_pow_float(n)
     if min_u * 2.0 ** (-ctx.P) < 0.5 * pw:
         raise PrecisionExhausted(
@@ -213,21 +186,18 @@ def cot_sum(n: int, ctx: GoldenCtx) -> CotSum:
     return CotSum(value, normalized, err, pw * err + pw_err * abs(normalized))
 
 
-def _cot_sum_raw(count: int, ctx: GoldenCtx, square: bool) -> tuple[float, float, int]:
-    P = ctx.P
-    s, comp, err, min_u = cot_block(0, ctx.omega.mantissa, P, count, (count + 1) * 2.0 ** (-P), square)
-    return merge_partials([(s, comp)]), err, min_u
-
-
 def cot2_sum(n: int, ctx: GoldenCtx) -> float:
-    """sum_{r=1}^{F_n} cot^2(pi r omega); asserted against cot2_bound."""
+    """sum_{r=1}^{F_n} cot^2(pi r omega), certified against cot2_bound: the
+    sum plus the kernel's error bound must stay within it."""
     if n < 4:
         raise ValueError("the squared-cotangent bound starts at n = 4")
-    value, _err, _min_u = _cot_sum_raw(ctx.fibs.fib(n), ctx, square=True)
+    fn = ctx.fibs.fib(n)
+    s, comp, err, _min_u = cot_block(0, ctx.omega.mantissa, ctx.P, fn, (fn + 1) * 2.0 ** (-ctx.P), True)
+    value = merge_partials([(s, comp)])
     bound = cot2_bound(n, ctx)
-    if value > bound:
+    if value + err > bound:
         raise PrecisionExhausted(
-            f"cot^2 sum {value:.6e} exceeds its bound {bound:.6e} at n={n}"
+            f"cot^2 sum {value:.6e} (error bound {err:.1e}) exceeds its bound {bound:.6e} at n={n}"
         )
     return value
 

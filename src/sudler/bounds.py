@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._engine import cot_terms, neumaier, orbit
+from ._engine import cot_terms, orbit_sums
 from .errors import PrecisionExhausted
 from .fibcore import OMEGA, zeckendorf
 from .goldenangle import GoldenCtx
@@ -201,16 +201,19 @@ def _log_factored_perturbed(n: int, alpha_m: int, ctx: GoldenCtx) -> tuple[float
     alpha = alpha_m * 2.0 ** (-ctx.P)
     ca = math.cos(math.pi * alpha)
     sa = math.sin(math.pi * alpha)
-    total = comp = err = 0.0
-    for _lo, x, neg in orbit(0, ctx.omega.mantissa, ctx.P, fn):
+
+    def terms(x, neg, _ang_err):
         cot = cot_terms(x, neg, 0.0)[0]
         factor = ca + cot * sa
         if factor.min() <= 0.0:
             raise ArithmeticError("factored perturbation term is nonpositive")
         term = np.log(factor)
-        err += 2.0**-53 * (6.0 * len(x) + np.abs(term).sum() + (np.abs(cot * sa) / factor).sum())
-        run_s, run_c = neumaier(term, total, comp)
-        total, comp = run_s[-1], run_c[-1]
+        rel = np.abs(cot * sa) / factor
+        return term, 2.0**-53 * (6.0 * x.shape[-1] + np.abs(term).sum(axis=-1) + rel.sum(axis=-1)), 0.0
+
+    total = comp = err = 0.0
+    for _rows, _lo, _x, run_s, run_c, e, _ang in orbit_sums(terms, [0], ctx.omega.mantissa, ctx.P, fn, 0.0):
+        total, comp, err = run_s[0, -1], run_c[0, -1], err + e[0]
     return float(base + total + comp), base_err + float(err)
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "TABLE",
     "ZeckRep",
     "fib",
-    "fib_floor",
     "zeckendorf",
     "fib_length_bounds",
     "fib_mod_inverse",
@@ -59,7 +58,7 @@ class FibTable:
         floor(0) = (0, 0).
         """
         if n < 0:
-            raise ValueError(f"fib_floor requires n >= 0, got {n}")
+            raise ValueError(f"the Fibonacci floor requires n >= 0, got {n}")
         if n == 0:
             return (0, 0)
         values = self._values
@@ -97,11 +96,6 @@ def _values(n: int) -> list[int]:
 def fib(n: int) -> int:
     """F_n for n >= 0."""
     return TABLE.fib(n)
-
-
-def fib_floor(n: int) -> tuple[int, int]:
-    """The Fibonacci floor of n: largest F_i <= n, as (index, value)."""
-    return TABLE.floor(n)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ Everything works in the log domain with compensated accumulation; direct
 values are materialized only at the output boundary.  Each product carries
 a rigorous bound on |log error|, enforced against ERR_BUDGET.
 
-P_k and U(T) run on the orbit kernel of ``_engine`` and sum through its
-Neumaier primitive ``_engine.neumaier``.  B_n and C_n run as numpy array
+P_k runs on the orbit-sum walk of ``_engine``; U(T), whose terms need the
+index t, walks ``_engine.orbit`` itself and sums through its Neumaier
+primitive ``_engine.neumaier``.  B_n and C_n run as numpy array
 expressions over chunks of at most CHUNK values of t, fed by the exact
 residues t F_{n-1} mod F_n.  Both need only t < F_n/2: the residues
 satisfy xi_{F_n - t} = -xi_t, so B_n's log-terms pair up and C_n is the
@@ -174,6 +175,12 @@ def _refuse(what: str, err: float, rounding: float, bits: float, bits_source: st
     raise PrecisionExhausted(f"{what} error bound {err:.3e} exceeds budget {ERR_BUDGET:.1e}: {source}")
 
 
+def _refuse_direct(what: str, err: float, ang: float):
+    """``_refuse`` for a direct orbit sum's bound err, whose part ang is the
+    P-bit angle term and the rest the log terms' float64 rounding."""
+    _refuse(what, err, err - ang, ang, "the P-bit angle term", "the log terms' float64 rounding")
+
+
 def _charged(what: str, rounding: float, omega_pow: float) -> float:
     """The |log err| bound rounding + omega_pow of one factor; raises
     PrecisionExhausted past ERR_BUDGET, naming the larger part."""
@@ -211,10 +218,7 @@ def log_abs_sin_product(
     out = []
     for s, c, err, ang in zip(*(v.tolist() for v in sums)):
         if err > ERR_BUDGET:
-            _refuse(
-                f"log-product at count={count}, P={P}", err, err - ang, ang,
-                "the P-bit angle term", "the log terms' float64 rounding",
-            )
+            _refuse_direct(f"log-product at count={count}, P={P}", err, ang)
         out.append((merge_partials([(s, c)]), err))
     return out[0] if single else out
 
@@ -510,7 +514,8 @@ def log_U_partials(T: int, ctx: GoldenCtx) -> Iterator[np.ndarray]:
     a time."""
     two_sqrt5 = 2.0 * math.sqrt(5.0)
     s = comp = 0.0
-    for lo, x, neg in orbit(0, ctx.omega.mantissa, ctx.P, T):
+    for _r0, lo, x, neg in orbit([0], ctx.omega.mantissa, ctx.P, T):
+        x, neg = x[0], neg[0]
         t = np.arange(lo + 1, lo + len(x) + 1, dtype=np.float64)
         u = two_sqrt5 * t - 2.0 * np.where(neg, 0.5 - x, x - 0.5)
         run_s, run_c = neumaier(np.log1p(-1.0 / (u * u)), s, comp)
@@ -573,10 +578,7 @@ def _log_prefix_iter(count: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[
         err += e
         ang += a
         if err > ERR_BUDGET:
-            _refuse(
-                f"prefix pass at k={end}, P={P}", err, err - ang, ang,
-                "the P-bit angle term", "the log terms' float64 rounding",
-            )
+            _refuse_direct(f"prefix pass at k={end}, P={P}", err, ang)
         yield ks, logs
 
 

@@ -13,15 +13,15 @@ from sudler import (
     cot2_sum,
     cot_profile,
     cot_sum,
-    frac_sum_convergent,
     identity_suite,
     lagrange_k_sin_sum,
     lagrange_sin_sum,
     sudler_P,
     sum_series,
 )
-from sudler import birkhoff
-from sudler.birkhoff import PARTIAL_SUM_K, _cot_sum_raw, direct_k_sin_sum, direct_sin_sum, discrepancy_scan
+from sudler import PrecisionExhausted, birkhoff
+from sudler._engine import cot_block
+from sudler.birkhoff import PARTIAL_SUM_K, direct_k_sin_sum, direct_sin_sum, discrepancy_scan
 
 mpmath.mp.dps = 60
 MP_OMEGA = (mpmath.sqrt(5) - 1) / 2
@@ -75,14 +75,6 @@ class TestPartialSums:
 
 
 class TestDiscrepancy:
-    def test_exact_rational_example(self):
-        # alpha = 1/2, q = 2, theta = 0: ({1/2}-1/2) + ({1}-1/2) = -1/2
-        assert frac_sum_convergent(2, Fraction(1, 2), 0) == -0.5
-
-    def test_golden_small(self, ctx):
-        val = frac_sum_convergent(144, ctx.omega_float, 0.0)
-        assert abs(val) < 1.5
-
     def test_golden_random_thetas(self, ctx):
         for i, q in enumerate((13, 144, 987)):
             hi, lo = discrepancy_scan(q, 200, seed=i, ctx=ctx)
@@ -101,16 +93,6 @@ class TestDiscrepancy:
             for th in thetas
         ]
         assert discrepancy_scan(q, 30, seed, ctx) == (float(max(sums)), float(min(sums)))
-
-    def test_exact_vs_fraction_path(self, ctx):
-        # the scan's dyadic rotation matches frac_sum_convergent term by term
-        w62 = (ctx.omega.mantissa + (1 << (ctx.P - 63))) >> (ctx.P - 62)
-        alpha = Fraction(w62, 1 << 62)
-        got = frac_sum_convergent(55, alpha, Fraction(1, 8))
-        brute = math.fsum(
-            float((Fraction(1, 8) + i * alpha) % 1) - 0.5 for i in range(1, 56)
-        )
-        assert abs(got - brute) < 1e-12
 
 
 class TestCotSums:
@@ -151,11 +133,20 @@ class TestCotSums:
     def test_cot2_terms_positive_structure(self, ctx):
         assert cot2_sum(5, ctx) > 0
 
+    def test_cot2_bound_is_certified_with_the_error(self, ctx, monkeypatch):
+        """A bound that the sum meets but the sum plus its error bound
+        overshoots is refused."""
+        fn = ctx.fibs.fib(20)
+        s, c, err, _min_u = cot_block(0, ctx.omega.mantissa, ctx.P, fn, (fn + 1) * 2.0**-ctx.P, True)
+        monkeypatch.setattr(birkhoff, "cot2_bound", lambda n, ctx: (s + c) + err / 2)
+        with pytest.raises(PrecisionExhausted, match="cot\\^2 sum"):
+            cot2_sum(20, ctx)
+
     def test_total_is_one_kernel_call(self, ctx, monkeypatch):
         calls = []
         kernel = birkhoff.cot_block
         monkeypatch.setattr(birkhoff, "cot_block", lambda *a: calls.append(a[3]) or kernel(*a))
-        _cot_sum_raw(ctx.fibs.fib(25), ctx, False)
+        cot_sum(25, ctx)
         assert calls == [ctx.fibs.fib(25)]
 
     def test_cot_profile_consistency(self, ctx):
@@ -180,7 +171,8 @@ class TestCotSums:
         rows = {k: v for ks, partials in cot_profile(n, ctx) for k, v in zip(ks, partials)}
         sign = (-1.0) ** n
         for k in (k16 - 1, k16, k16 + 1, ctx.fibs.fib(n) - 1):
-            assert rows[k] == sign * _cot_sum_raw(k, ctx, False)[0], k
+            s, c, _err, _min_u = cot_block(0, ctx.omega.mantissa, ctx.P, k, 0.0)
+            assert rows[k] == sign * (s + c), k
 
 
 def test_birkhoff_sum_is_twice_log(ctx):

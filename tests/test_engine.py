@@ -58,10 +58,10 @@ def assert_orbit_matches(a0, w, P, count):
     want = exact_folds(a0, w, P, count)
     err = Fraction(orbit_err(P))
     got_x, got_neg = [], []
-    for lo, x, neg in orbit(a0, w, P, count):
+    for _r0, lo, x, neg in orbit([a0], w, P, count):
         assert lo == len(got_x)
-        got_x += x.tolist()
-        got_neg += neg.tolist()
+        got_x += x[0].tolist()
+        got_neg += neg[0].tolist()
     assert len(got_x) == count
     for (u, neg), x, g_neg in zip(want, got_x, got_neg):
         true = Fraction(u, 1 << P)
@@ -366,6 +366,45 @@ class TestRigour:
     def test_random_orbit_points(self, ctx):
         rng = np.random.default_rng(2014)
         self._check(ctx, rng.integers(1, fib(40), 10_000).tolist())
+
+
+def _pinned_values(ctx):
+    """name -> list of floats, for values that reach the orbit-sum walk
+    through each of its consumers and that no byte-pinned CLI output
+    covers."""
+    from sudler import bounds, birkhoff, products
+
+    rows = list(bounds.split_logs([10_000, fib(25) + 7], ctx))
+    cs = birkhoff.cot_sum(30, ctx)
+    return {
+        "split_logs": [v for _segments, log, err in rows for v in (log, err)],
+        "perturbed_product": [bounds.perturbed_product(20, 1e-6, ctx)],
+        "sum_series": [birkhoff.sum_series(15, 500, 0.3, ctx).values[-1]],
+        "S_nt_splits": birkhoff.S_nt_splits(15, [377, 600], ctx),
+        "cot_sum": [cs.value, cs.err],
+        "cot2_sum": [birkhoff.cot2_sum(20, ctx)],
+        "C_infinity_trunc": [products.C_infinity_trunc(100_000, ctx)],
+    }
+
+
+PINNED_HEX = {
+    "split_logs": [
+        "0x1.54894181ed83cp+2", "0x1.c472adeeac021p-38", "0x1.648f2e72b535cp+1", "0x1.a86a3da8fe058p-35"
+    ],
+    "perturbed_product": ["0x1.311527eb0b737p+1"],
+    "sum_series": ["-0x1.255328155dd27p-11"],
+    "S_nt_splits": ["0x1.4d0af14de9dccp-11", "0x1.3ee594dd99134p-10"],
+    "cot_sum": ["-0x1.70b09c506657dp+18", "0x1.e79409e6c723bp-28"],
+    "cot2_sum": ["0x1.3b74cf29f7bdep+25"],
+    "C_infinity_trunc": ["0x1.d477d855a0b80p-1"],
+}
+
+
+def test_walk_consumers_keep_their_bits(ctx):
+    """The segment logs and their bounds, the perturbed product, the sine
+    partial sums, the cot sums and U(T), pinned to the bit."""
+    got = {name: [v.hex() for v in values] for name, values in _pinned_values(ctx).items()}
+    assert got == PINNED_HEX
 
 
 def test_import_loads_no_thread_pool():

@@ -30,11 +30,11 @@ def test_fib_rejects_negative():
 
 
 def test_fib_floor_examples():
-    assert fc.fib_floor(7) == (5, 5)
-    assert fc.fib_floor(1) == (2, 1)
-    assert fc.fib_floor(0) == (0, 0)
-    assert fc.fib_floor(4) == (4, 3)
-    assert fc.fib_floor(5) == (5, 5)
+    assert fc.TABLE.floor(7) == (5, 5)
+    assert fc.TABLE.floor(1) == (2, 1)
+    assert fc.TABLE.floor(0) == (0, 0)
+    assert fc.TABLE.floor(4) == (4, 3)
+    assert fc.TABLE.floor(5) == (5, 5)
 
 
 def test_zeckendorf_examples():
@@ -76,7 +76,7 @@ def greedy_zeckendorf_bits(n: int) -> tuple[int, ...]:
     bits: list[int] = []
     remaining = n
     while remaining > 0:
-        i, v = fc.fib_floor(remaining)
+        i, v = fc.TABLE.floor(remaining)
         if not bits:
             bits = [0] * i
         bits[i - 1] = 1
