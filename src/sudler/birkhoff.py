@@ -1,4 +1,5 @@
-"""Sum-side machinery: partial sums of sin(pi omega^n xi), the 3/2
+"""Sum-side machinery: partial sums of sin(pi omega^n xi), whole and split
+into Zeckendorf segments (``goldenangle.zeckendorf_segments``), the 3/2
 discrepancy bound at convergent denominators, cotangent sums with their
 enclosures, the Birkhoff sum 2 log P_k, and the executable suite of
 sine/cosine sum and product identities.
@@ -8,15 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from ._engine import cot_block, cot_terms, merge_partials, orbit_sums, prefix_sums
 from .errors import PrecisionExhausted
-from .fibcore import OMEGA, zeckendorf
-from .goldenangle import GoldenCtx
+from .fibcore import OMEGA
+from .goldenangle import GoldenCtx, phase_mantissa, zeckendorf_segments
 from .products import sudler_P
 
 __all__ = [
@@ -56,11 +56,6 @@ class SumSeries:
     values: tuple[float, ...]
 
 
-def _theta_mantissa(theta, ctx: GoldenCtx) -> int:
-    frac = Fraction(theta) % 1
-    return round(frac * (1 << ctx.P))
-
-
 def _sine_partials(
     n: int, anchors: list[int], count: int, ctx: GoldenCtx
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -85,7 +80,7 @@ def sum_series(n: int, t_max: int, theta, ctx: GoldenCtx) -> SumSeries:
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     values: list[float] = []
-    for _rows, partials in _sine_partials(n, [_theta_mantissa(theta, ctx)], t_max, ctx):
+    for _rows, partials in _sine_partials(n, [phase_mantissa(theta, ctx)[0]], t_max, ctx):
         values += partials[0].tolist()
     return SumSeries(n=n, theta=float(theta), values=tuple(values))
 
@@ -97,28 +92,18 @@ def S_nt_splits(n: int, ts: Iterable[int], ctx: GoldenCtx) -> list[float]:
 
     with every segment summed afresh from its own phase t_s omega, and the
     distinct segment sums of each index s (all F_s terms long) computed in
-    one orbit pass.
+    one orbit pass (``goldenangle.zeckendorf_segments``).
     """
-    walks = [zeckendorf(t).segments() for t in ts]  # ValueError for t < 0
-    tails: dict[int, dict[int, None]] = {}
-    for walk in walks:
-        for s, tail in walk:
-            tails.setdefault(s, {})[tail] = None
-    sums: dict[tuple[int, int], float] = {}
-    for s, ts_s in tails.items():
-        sums.update(zip([(s, tail) for tail in ts_s], _segment_sums(n, s, list(ts_s), ctx)))
-    return [math.fsum([sums[seg] for seg in walk]) for walk in walks]
+    if n < 1:
+        raise ValueError("level n must be >= 1")
 
+    def totals(s: int, phases: list[int], _tails: list[int]) -> list[float]:
+        sums = np.empty(len(phases))
+        for rows, partials in _sine_partials(n, phases, ctx.fibs.fib(s), ctx):
+            sums[rows] = partials[:, -1]
+        return sums.tolist()
 
-def _segment_sums(n: int, s: int, tails: list[int], ctx: GoldenCtx) -> list[float]:
-    """S_{n, F_s}(t_s omega) for each t_s in tails, in one orbit pass."""
-    w = ctx.omega.mantissa
-    one = 1 << ctx.P
-    sums = np.empty(len(tails))
-    anchors = [(tail * w) % one for tail in tails]
-    for rows, partials in _sine_partials(n, anchors, ctx.fibs.fib(s), ctx):
-        sums[rows] = partials[:, -1]
-    return sums.tolist()
+    return [math.fsum([seg[3] for seg in walk]) for walk in zeckendorf_segments(ts, ctx, totals)]
 
 
 def discrepancy_scan(

@@ -1,5 +1,5 @@
 """Inequality toolkit, perturbed sine products, the Zeckendorf product
-split, and the empirical power-law envelope of P_k.
+split, and the empirical power-law envelope of P_k and its ratio stream.
 """
 
 from __future__ import annotations
@@ -7,16 +7,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._engine import cot_terms, orbit_sums
 from .errors import PrecisionExhausted
-from .fibcore import OMEGA, zeckendorf
-from .goldenangle import GoldenCtx
-from .products import ProductResult, log_abs_sin_product, sudler_P
+from .fibcore import OMEGA
+from .goldenangle import GoldenCtx, phase_mantissa, zeckendorf_segments
+from .products import ProductResult, _log_prefix_iter, log_abs_sin_product, sudler_P
 
 __all__ = [
     "PowerLawReport",
@@ -33,6 +32,7 @@ __all__ = [
     "split_product",
     "split_logs",
     "power_law_scan",
+    "power_law_ratios",
     "PERTURBED_RATIO_UPPER",
     "PERTURBED_RATIO_LOWER",
 ]
@@ -162,14 +162,6 @@ def log_lower_check() -> LogLowerReport:
     return LogLowerReport(grid_points=grid_points, worst_margin=worst, root_lo=lo, root_hi=hi)
 
 
-def _alpha_mantissa(alpha, ctx: GoldenCtx) -> tuple[int, float]:
-    """Signed mantissa of alpha and the absolute representation error."""
-    frac = Fraction(alpha)
-    m = round(frac * (1 << ctx.P))
-    err = abs(float(frac - Fraction(m, 1 << ctx.P)))
-    return m, err + 2.0 ** (-ctx.P)
-
-
 def perturbed_product(n: int, alpha, ctx: GoldenCtx) -> float:
     """prod_{r=1}^{F_n} |2 sin(pi (r omega + alpha))| for n >= 2 and
     |alpha| <= omega^{n+1}.
@@ -180,7 +172,7 @@ def perturbed_product(n: int, alpha, ctx: GoldenCtx) -> float:
     """
     if n < 2:
         raise ValueError("level n must be >= 2 (the bound fails at n = 1)")
-    alpha_m, alpha_err = _alpha_mantissa(alpha, ctx)
+    alpha_m, alpha_err = phase_mantissa(alpha, ctx)
     if abs(alpha_m) > ctx.omega_pow_mantissa(n + 1):
         raise ValueError(f"|alpha| must be <= omega^{n + 1}")
     fn = ctx.fibs.fib(n)
@@ -249,44 +241,16 @@ class SplitProduct:
         return (self.value - self.direct.value) / self.direct.value
 
 
-def _split_walk(k: int, ctx: GoldenCtx) -> list[tuple[int, int, int]]:
-    """(s, k_s, phase mantissa) for each Zeckendorf segment of k.
-
-    Each segment phase k_s omega is reduced modulo 1 to its signed
-    representative in units of 2^-P; the geometric-series bound
-    |representative| < omega^{s+1} is asserted rather than assumed.
-    """
+def _assemble_split(walk: list, ctx: GoldenCtx) -> tuple[tuple[SegmentFactor, ...], float, float]:
     one = 1 << ctx.P
-    walk = []
-    for s, tail in zeckendorf(k).segments():
-        alpha_m = (tail * ctx.omega.mantissa) % one
-        if alpha_m > one >> 1:
-            alpha_m -= one
-        if abs(alpha_m) >= ctx.omega_pow_mantissa(s + 1) + tail + 1:
-            raise ArithmeticError(
-                f"segment phase |{alpha_m / one:.3e}| >= omega^{s + 1} at k={k}, s={s}"
-            )
-        walk.append((s, tail, alpha_m))
-    return walk
-
-
-def _assemble_split(
-    walk: list[tuple[int, int, int]], ctx: GoldenCtx, logs: dict
-) -> tuple[tuple[SegmentFactor, ...], float, float]:
-    one = 1 << ctx.P
-    segments: list[SegmentFactor] = []
-    parts: list[float] = []
-    err = 0.0
-    for s, tail, alpha_m in walk:
-        log_f, seg_err = logs[(s, tail)]
-        segments.append(
-            SegmentFactor(
-                s=s, k_s=tail, alpha=alpha_m / one, log_factor=log_f, factor=math.exp(log_f)
-            )
-        )
-        parts.append(log_f)
+    segments = tuple(
+        SegmentFactor(s=s, k_s=tail, alpha=phase / one, log_factor=log_f, factor=math.exp(log_f))
+        for s, tail, phase, (log_f, _err) in walk
+    )
+    err = 0.0  # left to right: sum() compensates floats from Python 3.12 on
+    for *_seg, (_log_f, seg_err) in walk:
         err += seg_err
-    return tuple(segments), math.fsum(parts), err
+    return segments, math.fsum(seg.log_factor for seg in segments), err
 
 
 def _split_log(k: int, ctx: GoldenCtx) -> tuple[tuple[SegmentFactor, ...], float, float]:
@@ -302,25 +266,16 @@ def split_logs(
     for every k in ks.
 
     Every distinct segment factor, keyed by (s, k_s), is computed once and
-    first: all segments with index s have F_s terms, so they are the rows
-    of one batched product per s.  The per-k results are then assembled
-    lazily, so a scan over many k holds one of them at a time.
+    first (``zeckendorf_segments``): the segments with index s all have F_s
+    terms, so they are the rows of one batched product per s.  The per-k
+    results are assembled lazily: a scan over many k holds one at a time.
     """
-    walks = [_split_walk(k, ctx) for k in ks]
-    tails: dict[int, dict[int, int]] = {}
-    for walk in walks:
-        for s, tail, alpha_m in walk:
-            tails.setdefault(s, {})[tail] = alpha_m
-    logs: dict[tuple[int, int], tuple[float, float]] = {}
-    for s, rows in tails.items():
-        row_logs = log_abs_sin_product(
-            ctx.fibs.fib(s),
-            ctx,
-            alpha_mantissa=list(rows.values()),
-            alpha_err=[(tail + 1) * 2.0 ** (-ctx.P) for tail in rows],
-        )
-        logs.update(zip([(s, tail) for tail in rows], row_logs))
-    return (_assemble_split(walk, ctx, logs) for walk in walks)
+
+    def totals(s: int, phases: list[int], tails: list[int]) -> list[tuple[float, float]]:
+        alpha_err = [(tail + 1) * 2.0 ** (-ctx.P) for tail in tails]
+        return log_abs_sin_product(ctx.fibs.fib(s), ctx, alpha_mantissa=phases, alpha_err=alpha_err)
+
+    return (_assemble_split(walk, ctx) for walk in zeckendorf_segments(ks, ctx, totals))
 
 
 def split_product(k: int, ctx: GoldenCtx) -> SplitProduct:
@@ -361,20 +316,22 @@ class PowerLawReport:
     argmax: int
 
 
-def power_law_scan(k_max: int, ctx: GoldenCtx) -> PowerLawReport:
-    """Single incremental pass over k = 2..k_max recording the extrema of
-    ln P_k / ln k (k = 1 is excluded: ln 1 = 0)."""
+def power_law_ratios(k_max: int, ctx: GoldenCtx) -> Iterator[tuple[range, list[float]]]:
+    """Yield (ks, ln P_k / ln k) per orbit chunk for k = 2..k_max, from one
+    incremental pass (k = 1 is excluded: ln 1 = 0)."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    from .products import _log_prefix_iter
-
-    k1, k2 = math.inf, -math.inf
-    a1 = a2 = 0
     for ks, logs in _log_prefix_iter(k_max, 1, ctx):
-        for k, log_p in zip(ks, logs):
-            if k < 2:
-                continue
-            ratio = log_p / math.log(k)
+        if ks[0] == 1:
+            ks, logs = ks[1:], logs[1:]
+        yield ks, [log_p / math.log(k) for k, log_p in zip(ks, logs)]
+
+
+def power_law_scan(k_max: int, ctx: GoldenCtx) -> PowerLawReport:
+    """The extrema of ln P_k / ln k over k = 2..k_max (``power_law_ratios``)."""
+    k1, a1, k2, a2 = math.inf, 0, -math.inf, 0
+    for ks, ratios in power_law_ratios(k_max, ctx):
+        for k, ratio in zip(ks, ratios):
             if ratio < k1:
                 k1, a1 = ratio, k
             if ratio > k2:

@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterator
+from typing import IO
 
 from . import birkhoff as bk
 from . import bounds as bd
@@ -36,7 +34,7 @@ from . import fibcore as fc
 from . import products as pr
 from . import verify as vf
 from .errors import PrecisionExhausted, PrecisionTooLow
-from .goldenangle import DEFAULT_PRECISION_BITS, GoldenCtx, make_ctx
+from .goldenangle import DEFAULT_PRECISION_BITS, make_ctx
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -150,14 +148,6 @@ def _emit_csv(chunks, header: str, cfg: RunConfig, stdout: IO[str]) -> None:
             sink(fh)
 
 
-def _scan_chunks(kmax: int, ctx: GoldenCtx) -> Iterator[tuple[range, list[float]]]:
-    """(ks, ln P_k / ln k) per chunk for k = 2..kmax (ln 1 = 0 drops k = 1)."""
-    for ks, logs in pr._log_prefix_iter(kmax, 1, ctx):
-        if ks[0] == 1:
-            ks, logs = ks[1:], logs[1:]
-        yield ks, list(map(operator.truediv, logs, map(math.log, ks)))
-
-
 def _g(x: float) -> str:
     return f"{x:.17g}"
 
@@ -246,7 +236,7 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
     if cmd == "scan":
         if args.kmax < 2:
             raise ValueError(f"KMAX must be >= 2, got {args.kmax}")
-        _emit_csv(_scan_chunks(args.kmax, ctx), "k,logP_over_logk", cfg, out)
+        _emit_csv(bd.power_law_ratios(args.kmax, ctx), "k,logP_over_logk", cfg, out)
         return 0
     if cmd == "perturbed":
         alpha = Fraction(args.alpha)

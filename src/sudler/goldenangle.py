@@ -6,7 +6,10 @@ rounded mantissa of omega.  Transcendental evaluations round the exact
 mantissa to float64; every public quantity carries, or can bound, the
 absolute error this introduces.
 
-Also defined here: the derived sequences
+Phases live here too: ``phase_mantissa`` rounds an outside phase to a
+signed mantissa, and ``zeckendorf_segments``, the one segment route of the
+split product and the split partial sums, phases every Zeckendorf segment
+of k.  Also defined here: the derived sequences
 
     s_nt  = 2 sin pi (t/F_n - omega^n ([t F_{n-1}]/F_n - 1/2))
     xi_nt = [t F_{n-1}]/F_n - 1/2   (0 when t = 0 mod F_n)
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PrecisionExhausted, PrecisionTooLow
-from .fibcore import TABLE, FibTable
+from .fibcore import TABLE, FibTable, zeckendorf
 
 __all__ = [
     "FixedFrac",
@@ -33,6 +36,8 @@ __all__ = [
     "s_nt",
     "h_nt",
     "two_sin_pi",
+    "phase_mantissa",
+    "zeckendorf_segments",
 ]
 
 MIN_PRECISION_BITS = 64
@@ -153,6 +158,50 @@ def frac_r_omega(r: int, ctx: GoldenCtx) -> FixedFrac:
     if err >= _ERR_CEILING:
         raise PrecisionExhausted(f"{{r omega}} error budget exhausted at r={r}, P={ctx.P}")
     return FixedFrac((r * ctx.omega.mantissa) & ctx.mask, ctx.P, err)
+
+
+def phase_mantissa(alpha, ctx: GoldenCtx) -> tuple[int, float]:
+    """The signed P-bit mantissa m = round(alpha 2^P) of a phase alpha
+    (a float, Fraction or decimal string) and the absolute error of
+    m 2^-P, plus 2^-P.  Rounding is half to even, so any alpha + N gives
+    m + N 2^P, the same angle mod 2^P."""
+    frac = Fraction(alpha)
+    m = round(frac * (1 << ctx.P))
+    err = abs(float(frac - Fraction(m, 1 << ctx.P)))
+    return m, err + 2.0 ** (-ctx.P)
+
+
+def zeckendorf_segments(ks, ctx: GoldenCtx, totals):
+    """The Zeckendorf segments of every k in ks, each with its phase and
+    the value ``totals`` gives it.
+
+    Segment s of k = sum_s b_s F_s is the F_s-term orbit from k_s omega,
+    k_s = sum_{u > s} b_u F_u.  Each distinct (s, k_s) gets its phase once,
+    the signed representative of k_s W mod 2^P, whose geometric-series
+    bound |phase| < omega^{s+1} is asserted, not assumed.  Then
+    ``totals(s, phases, tails)`` runs once per s on that index's distinct
+    rows, in first-seen order, and returns one value per row.  All of this
+    happens at call time; the result yields, lazily per k, the list of
+    (s, k_s, phase, value)."""
+    one, half = 1 << ctx.P, 1 << (ctx.P - 1)
+    rows: dict[int, dict[int, int]] = {}
+    walks = []
+    for k in ks:
+        walk = zeckendorf(k).segments()  # ValueError for k < 0
+        for s, tail in walk:
+            phases = rows.setdefault(s, {})
+            if tail in phases:
+                continue
+            phase = (tail * ctx.omega.mantissa + half) % one - half  # the representative nearest 0
+            if abs(phase) >= ctx.omega_pow_mantissa(s + 1) + tail + 1:
+                raise ArithmeticError(f"segment phase |{phase / one:.3e}| >= omega^{s + 1} at k={k}, s={s}")
+            phases[tail] = phase
+        walks.append(walk)
+    segs = {}
+    for s, phases in rows.items():
+        values = totals(s, list(phases.values()), list(phases))
+        segs.update(((s, t), (s, t, phase, v)) for (t, phase), v in zip(phases.items(), values))
+    return ([segs[seg] for seg in walk] for walk in walks)
 
 
 def xi_inf(t: int, ctx: GoldenCtx) -> float:

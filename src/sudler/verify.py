@@ -683,10 +683,13 @@ def run_checks(
     workers: int = 1,
     only: set[str] | None = None,
 ) -> list[CheckResult]:
-    """Run the verification suite and return one CheckResult per check.
-    ``workers`` is accepted and ignored."""
+    """Run the verification suite, or the checks named in ``only``, and
+    return one CheckResult per check.  ``workers`` is accepted and ignored."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
+    unknown = sorted(set(only or ()) - set(CHECK_NAMES))
+    if unknown:
+        raise ValueError(f"unknown check names: {', '.join(unknown)}")
     cfg = _Cfg(level=level, seed=seed, ctx=make_ctx(precision))
     results = []
     for name, fn in _MODULE_CHECKS:

@@ -31,6 +31,11 @@ def run_criterion(name: str) -> verify.CheckResult:
     return res
 
 
+def test_unknown_check_names_are_rejected():
+    with pytest.raises(ValueError, match="no-such-check, zz-typo"):
+        verify.run_checks(level="quick", only={"zz-typo", "no-such-check", "omega-constants"})
+
+
 def test_criterion_01_rational_exactness():
     res = run_criterion("rational-product-exactness")
     assert res.passed, res.detail

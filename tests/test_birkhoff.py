@@ -65,6 +65,16 @@ class TestPartialSums:
             for t, v in enumerate(series.values, start=1):
                 assert abs(v) < PARTIAL_SUM_K * pw * (math.log(t) + 1.0)
 
+    def test_theta_is_taken_mod_one(self, ctx):
+        want = [v.hex() for v in sum_series(8, 40, 0.3125, ctx).values]
+        for theta in (1.3125, -0.6875):
+            assert [v.hex() for v in sum_series(8, 40, theta, ctx).values] == want
+
+    def test_splits_reject_level_zero(self, ctx):
+        for ts in ([0], [5]):
+            with pytest.raises(ValueError, match="level n must be >= 1"):
+                S_nt_splits(0, ts, ctx)
+
     def test_theta_dependence_against_mpmath(self, ctx):
         n, t, theta = 8, 40, 0.3125
         want = mpmath.mpf(0)

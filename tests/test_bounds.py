@@ -23,6 +23,7 @@ from sudler.bounds import (
     PERTURBED_RATIO_UPPER,
     _split_log,
     n1_alpha_counterexample,
+    power_law_ratios,
     split_logs,
 )
 from sudler.fibcore import fib
@@ -201,3 +202,18 @@ class TestPowerLaw:
     def test_rejects_tiny_range(self, ctx):
         with pytest.raises(ValueError):
             power_law_scan(1, ctx)
+
+    def test_ratio_stream_is_the_scan(self, ctx):
+        """power_law_ratios yields ln P_k / ln k from k = 2 on, bit for bit
+        the direct ratio, and power_law_scan reports its extrema."""
+        ks, ratios = [], []
+        for chunk_ks, chunk in power_law_ratios(144, ctx):
+            ks += chunk_ks
+            ratios += chunk
+        assert ks == list(range(2, 145))
+        assert ratios == [sudler_P(k, ctx).log_value / math.log(k) for k in ks]
+        rep = power_law_scan(144, ctx)
+        assert (rep.K1_emp, rep.argmin) == min(zip(ratios, ks))
+        assert (rep.K2_emp, rep.argmax) == max(zip(ratios, ks))
+        with pytest.raises(ValueError, match="k_max must be >= 2"):
+            next(power_law_ratios(1, ctx))

@@ -19,7 +19,7 @@ from sudler import (
     xi_n,
 )
 from sudler import fibcore
-from sudler.goldenangle import two_sin_pi
+from sudler.goldenangle import phase_mantissa, two_sin_pi, zeckendorf_segments
 
 mpmath.mp.dps = 80
 MP_OMEGA = (mpmath.sqrt(5) - 1) / 2
@@ -184,3 +184,59 @@ class TestTwoSinPi:
         got = two_sin_pi(q, delta)
         want = float(2 * mpmath.sin(mpmath.pi * (mpmath.mpf(q.numerator) / q.denominator + mpmath.mpf(delta))))
         assert abs(got - want) < 1e-13
+
+
+class TestPhaseRoute:
+    """phase_mantissa and zeckendorf_segments, the one route by which the
+    split product and the split partial sums phase their segments."""
+
+    def test_phase_mantissa_is_a_rounding(self, ctx):
+        m, err = phase_mantissa(Fraction(3, 7), ctx)
+        assert abs(Fraction(m, 1 << ctx.P) - Fraction(3, 7)) <= Fraction(1, 1 << (ctx.P + 1))
+        assert 2.0 ** -ctx.P <= err <= 1.5 * 2.0 ** -ctx.P
+        assert phase_mantissa(-0.25, ctx) == (-(1 << (ctx.P - 2)), 2.0 ** -ctx.P)
+
+    def test_integer_shifts_keep_the_angle(self, ctx):
+        """Round half to even commutes with adding N 2^P, an even integer."""
+        one = 1 << ctx.P
+        for alpha in (Fraction(1, 3), Fraction(1, 1 << (ctx.P + 1)), Fraction(3, 1 << (ctx.P + 1))):
+            m = phase_mantissa(alpha, ctx)[0]
+            for shift in (-2, -1, 1, 5):
+                assert phase_mantissa(alpha + shift, ctx)[0] == m + shift * one
+
+    def test_totals_run_once_per_index_on_distinct_rows(self, ctx):
+        calls = []
+
+        def totals(s, phases, tails):
+            calls.append((s, tails))
+            return [(s, tail) for tail in tails]
+
+        # 4 = F_4 + F_2, 6 = F_5 + F_2, 7 = F_5 + F_3
+        walks = zeckendorf_segments([4, 6, 7, 4, 0], ctx, totals)
+        # every total runs at call time, before any k is taken
+        assert calls == [(4, [0]), (2, [3, 5]), (5, [0]), (3, [5])]
+        got = list(walks)
+        assert [[(s, k_s, v) for s, k_s, _phase, v in walk] for walk in got] == [
+            [(4, 0, (4, 0)), (2, 3, (2, 3))],
+            [(5, 0, (5, 0)), (2, 5, (2, 5))],
+            [(5, 0, (5, 0)), (3, 5, (3, 5))],
+            [(4, 0, (4, 0)), (2, 3, (2, 3))],
+            [],
+        ]
+        one = 1 << ctx.P
+        phase = got[2][1][2]
+        assert phase % one == 5 * ctx.omega.mantissa % one and abs(phase) < one // 2
+
+    def test_phase_bound_is_asserted_for_both_consumers(self, monkeypatch):
+        """With the bound omega^{s+1} forced to 0, k = 100 = F_11 + F_6 + F_4
+        breaks it at s = 6, k_s = 89, in the split product and in the
+        split partial sums alike."""
+        from sudler.birkhoff import S_nt_splits
+        from sudler.bounds import split_logs
+
+        ctx = make_ctx(192)
+        monkeypatch.setattr(ctx, "omega_pow_mantissa", lambda n: 0)
+        with pytest.raises(ArithmeticError, match="at k=100, s=6"):
+            list(split_logs([100], ctx))
+        with pytest.raises(ArithmeticError, match="at k=100, s=6"):
+            S_nt_splits(12, [100], ctx)
