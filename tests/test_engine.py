@@ -368,14 +368,25 @@ class TestRigour:
         self._check(ctx, rng.integers(1, fib(40), 10_000).tolist())
 
 
+def _rows_block(P):
+    """A 3-row log2sin_block past one chunk, every entry of every row."""
+    w, one = make_ctx(P).omega.mantissa, 1 << P
+    anchors = [0, (fib(20) * w) % one, (987_654_321 * w) % one]
+    sums = log2sin_block(anchors, w, P, CHUNK + 5, [0.0, 1e-13, 2e-12])
+    return [v for entry in sums for v in entry.tolist()]
+
+
 def _pinned_values(ctx):
-    """name -> list of floats, for values that reach the orbit-sum walk
-    through each of its consumers and that no byte-pinned CLI output
-    covers."""
+    """name -> list of floats (and ints), for values that reach the
+    orbit-sum walk or the factor walk through each of their consumers:
+    Q_n on both routes, the factors of decompose, B*_n, a rows block at
+    the lowest and highest tested precision and a whole cot_block."""
     from sudler import bounds, birkhoff, products
 
     rows = list(bounds.split_logs([10_000, fib(25) + 7], ctx))
     cs = birkhoff.cot_sum(30, ctx)
+    d = products.decompose(30, ctx)
+    w, fn25 = ctx.omega.mantissa, fib(25)
     return {
         "split_logs": [v for _segments, log, err in rows for v in (log, err)],
         "perturbed_product": [bounds.perturbed_product(20, 1e-6, ctx)],
@@ -384,6 +395,11 @@ def _pinned_values(ctx):
         "cot_sum": [cs.value, cs.err],
         "cot2_sum": [birkhoff.cot2_sum(20, ctx)],
         "C_infinity_trunc": [products.C_infinity_trunc(100_000, ctx)],
+        **{f"Q_{n}": [q.log_value, q.err] for n in range(24, 34) for q in [products.Q_n(n, ctx)]},
+        "decompose_30": [d.B, d.C, d.B_err, d.C_err, d.Q_err],
+        "B*_31": list(products._log_factors(31, ctx, ("B*",))[0]),
+        **{f"log2sin_rows_P{P}": _rows_block(P) for P in (64, 512)},
+        "cot_block_F25": list(cot_block(0, w, ctx.P, fn25, (fn25 + 1) * 2.0 ** -ctx.P)),
     }
 
 
@@ -397,13 +413,49 @@ PINNED_HEX = {
     "cot_sum": ["-0x1.70b09c506657dp+18", "0x1.e79409e6c723bp-28"],
     "cot2_sum": ["0x1.3b74cf29f7bdep+25"],
     "C_infinity_trunc": ["0x1.d477d855a0b80p-1"],
+    "Q_24": ["0x1.c1c0dde50361dp-1", "0x1.06477b8e94ba6p-35"],
+    "Q_25": ["0x1.c1c1b9003e03ep-1", "0x1.a860b55e0ec49p-35"],
+    "Q_26": ["0x1.c1c13196590e0p-1", "0x1.575450ae6384fp-34"],
+    "Q_27": ["0x1.c1c185472e1ecp-1", "0x1.15c271cada259p-33"],
+    "Q_28": ["0x1.c1c1518ded196p-1", "0x1.c16cb63e0b002p-33"],
+    "Q_29": ["0x1.c1c171856e496p-1", "0x1.6b97a212807bdp-32"],
+    "Q_30": ["0x1.c1c15dc3a7532p-1", "0x1.2627059fc96c9p-31"],
+    "Q_31": ["0x1.c1c169f95eb20p-1", "0x1.dbf2ddb00ea1cp-31"],
+    "Q_32": ["0x1.c1c1626dcf7ffp-1", "0x1.838767d23ca7dp-46"],
+    "Q_33": ["0x1.c1c16717c5fc4p-1", "0x1.8fe7372650570p-46"],
+    "decompose_30": [
+        "0x1.df5c2a6a3ce6fp-1", "0x1.d477c8fbda8f2p-1", "0x1.43da8180e33fep-46", "0x1.109921d016130p-50",
+        "0x1.2627059fc96c9p-31",
+    ],
+    "B*_31": ["-0x1.0dd015999c351p-4", "0x1.503a50d04825cp-46"],
+    "log2sin_rows_P64": [
+        "0x1.1ba106433a8a4p+2", "0x1.10b2c4a3961bcp+2", "-0x1.d5ff05cfff691p+0",
+        "0x1.002a1c0000000p-46", "-0x1.f790800000000p-51", "0x1.ad1f000000000p-47",
+        "0x1.72dc63d6314e5p-38", "0x1.180a081c5efa8p-26", "0x1.b6db6c684c4edp-21",
+        "0x1.3092b1edd9ebbp-84", "0x1.17f2da4b38a95p-26", "0x1.b6dab2ed75322p-21",
+    ],
+    "log2sin_rows_P512": [
+        "0x1.1ba106433a985p+2", "0x1.10b2c4a395f96p+2", "-0x1.d5ff116e446f2p+0",
+        "0x1.cdca1c0000000p-46", "0x1.5176bc0000000p-46", "-0x1.3f04c00000000p-46",
+        "0x1.72dc63d6314e5p-38", "0x1.180a081c5f17ap-26", "0x1.b6db792f296b6p-21",
+        "0x1.3092b1f29c555p-84", "0x1.17f2da4b38c67p-26", "0x1.b6dabfb4524e9p-21",
+    ],
+    "cot_block_F25": [
+        "0x1.09f53d7f52d6cp+15", "-0x1.21fb65ff80000p-33", "0x1.279b3b8bbf4d7p-31",
+        "0x6401b3f75d47959710c251ede25a0fc32c041aa17172",
+    ],
 }
 
 
 def test_walk_consumers_keep_their_bits(ctx):
     """The segment logs and their bounds, the perturbed product, the sine
-    partial sums, the cot sums and U(T), pinned to the bit."""
-    got = {name: [v.hex() for v in values] for name, values in _pinned_values(ctx).items()}
+    partial sums, the cot sums, U(T), Q_n on both routes, the factors and
+    the rows kernel, pinned to the bit (an int, such as cot_block's min_u,
+    as hex(int))."""
+    got = {
+        name: [hex(v) if isinstance(v, int) else v.hex() for v in values]
+        for name, values in _pinned_values(ctx).items()
+    }
     assert got == PINNED_HEX
 
 
