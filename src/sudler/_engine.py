@@ -63,8 +63,8 @@ TERM_FLOOR = 4.5
 _LIMB = 48
 _LIMB_MASK = (1 << _LIMB) - 1
 _TOP = 3 * _LIMB
-_HALF_LIMB = 1 << (_LIMB - 1)  # 1/2 in the top limb
 _SCALE = np.array([2.0**-_TOP, 2.0 ** (-2 * _LIMB), 2.0**-_LIMB])[:, None, None]
+_SCALE.flags.writeable = False
 # Rounding u1 2^-96 + u0 2^-144 (at most 2^-48) costs at most 2^-101
 # absolute on top of the relative rounding of x itself.
 _CONVERT_ERR = 2.0**-101
@@ -90,6 +90,14 @@ def _top_limbs(vs: Sequence[int], P: int) -> np.ndarray:
     return np.array(limbs, dtype=np.uint64)[:, :, None]
 
 
+def _chunk_shape(rows: int, count: int) -> tuple[int, int]:
+    """(slab, width) of the largest chunk ``orbit`` yields for that many
+    anchors of count terms each: at most CHUNK // width rows of at most
+    CHUNK angles."""
+    width = min(count, CHUNK)
+    return min(rows, CHUNK // max(width, 1)), width
+
+
 def orbit(anchors: Sequence[int], w: int, P: int, count: int) -> Iterator[tuple]:
     """Yield (r0, lo, x, neg) chunk by chunk for the orbits
     a_i = (a0 + i*w)/2^P mod 1, i = 1..count, of the anchors a0, as rows:
@@ -98,40 +106,80 @@ def orbit(anchors: Sequence[int], w: int, P: int, count: int) -> Iterator[tuple]
     CHUNK // min(count, CHUNK), so no chunk holds more than CHUNK angles.
 
     x is the distance of a_i from the nearest integer, in (0, 1/2], and neg
-    marks the a_i above 1/2, whose fold negated them (so {a_i} - 1/2 is
-    0.5 - x there and x - 0.5 elsewhere).  Raises PrecisionExhausted when a
-    folded angle cannot be told apart from an integer.
+    is 1 at the a_i above 1/2, whose fold negated them (so {a_i} - 1/2 is
+    0.5 - x there and x - 0.5 where neg is 0).  Raises PrecisionExhausted
+    when a folded angle cannot be told apart from an integer.
+
+    Every chunk is computed in one set of buffers that the walk allocates
+    when it starts, so x and neg are valid until the next chunk: a caller
+    that keeps them copies them.
     """
     anchors = list(anchors)
     one = 1 << P
     floor = _dropped_err(P)
-    width = min(count, CHUNK)
-    slab = CHUNK // max(width, 1)
+    slab, width = _chunk_shape(len(anchors), count)
     iw = np.arange(1, width + 1, dtype=np.uint64) * _top_limbs([w], P)
-    for r0 in range(0, len(anchors), slab):
+    limbs = np.empty((3, slab, width), dtype=np.uint64)
+    bufs = _fold_buffers((slab, width))
+    for r0 in range(0, len(anchors), max(slab, 1)):
         rows = anchors[r0 : r0 + slab]
+        k = len(rows)
         for lo in range(0, count, CHUNK):
             m = min(CHUNK, count - lo)
-            x, neg = _fold(iw[:, :, :m] + _top_limbs([(a + lo * w) % one for a in rows], P))
+            r = limbs[:, :k, :m]
+            np.add(iw[:, :, :m], _top_limbs([(a + lo * w) % one for a in rows], P), out=r)
+            x, neg = _fold(r, tuple(b[..., :k, :m] for b in bufs))
             if x.min() <= floor:
                 raise PrecisionExhausted("rotation angle indistinguishable from an integer")
             yield r0, lo, x, neg
 
 
-def _fold(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, neg) from the unnormalised limb sums r = anchor + i*w, mod 2^144."""
-    r[1] += r[0] >> _LIMB
-    r[2] += r[1] >> _LIMB
-    r &= _LIMB_MASK
-    neg = r[2] >= _HALF_LIMB
+def _fold_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The buffers (x, neg, word, f) of ``_fold`` for limb sums of that shape."""
+    return np.empty(shape), np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty((3, *shape))
+
+
+def _fold(r: np.ndarray, bufs: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(x, neg) from the unnormalised limb sums r = anchor + i*w, mod 2^144,
+    written into bufs (``_fold_buffers``, allocated when not given).
+    Overwrites r."""
+    x, neg, word, f = bufs or _fold_buffers(r.shape[1:])
+    np.right_shift(r[0], _LIMB, out=word)
+    np.add(r[1], word, out=r[1])
+    np.right_shift(r[1], _LIMB, out=word)
+    np.add(r[2], word, out=r[2])
+    np.bitwise_and(r, _LIMB_MASK, out=r)
+    # The top limb is below 2^48, so its bit 47 is the flag a_i > 1/2.
+    np.right_shift(r[2], _LIMB - 1, out=neg)
     # Limb rows are (low, mid, high).  2^144 - r, limb by limb, is
     # (2^48 - r0, M - r1, M - r2) with M = 2^48 - 1: no borrows to
     # propagate.  As every limb is at most M, M - v = v ^ M and
-    # 2^48 - r0 = (r0 ^ M) + 1, so the complement needs no branch.
-    r ^= neg * np.uint64(_LIMB_MASK)
-    r[0] += neg
-    f = r * _SCALE
-    return f[2] + (f[1] + f[0]), neg
+    # 2^48 - r0 = (r0 ^ M) + 1, so the complement needs no branch: the
+    # flag times M is the mask, and the flag itself the low limb's 1.
+    np.multiply(neg, _LIMB_MASK, out=word)
+    np.bitwise_xor(r, word, out=r)
+    np.add(r[0], neg, out=r[0])
+    np.multiply(r, _SCALE, out=f)
+    np.add(f[1], f[0], out=x)
+    np.add(f[2], x, out=x)
+    return x, neg
+
+
+def _neumaier(run: np.ndarray, e: np.ndarray, s, comp, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The in-place core of ``neumaier``: e[..., 1:] holds the terms on
+    entry, and run and e (length m + 1 along the last axis) and b (length
+    m) are overwritten.  Returns the views (run[..., 1:], e[..., 1:])."""
+    e[..., 0] = s
+    np.add.accumulate(e, axis=-1, out=run)
+    prev, cur, terms = run[..., :-1], run[..., 1:], e[..., 1:]
+    np.subtract(cur, prev, out=b)
+    np.subtract(terms, b, out=terms)
+    np.subtract(cur, b, out=b)
+    np.subtract(prev, b, out=b)
+    np.add(b, terms, out=terms)  # TwoSum: (prev - (cur - b)) + (term - b)
+    e[..., 0] = comp
+    np.add.accumulate(e, axis=-1, out=e)
+    return cur, terms
 
 
 def neumaier(terms: np.ndarray, s, comp) -> tuple[np.ndarray, np.ndarray]:
@@ -149,17 +197,9 @@ def neumaier(terms: np.ndarray, s, comp) -> tuple[np.ndarray, np.ndarray]:
     same exact rounding error as either branch.
     """
     shape = terms.shape[:-1] + (terms.shape[-1] + 1,)
-    run = np.empty(shape)
-    run[..., 0] = s
-    run[..., 1:] = terms
-    np.add.accumulate(run, axis=-1, out=run)
-    prev, cur = run[..., :-1], run[..., 1:]
-    b = cur - prev
-    e = np.empty(shape)
-    e[..., 0] = comp
-    e[..., 1:] = (prev - (cur - b)) + (terms - b)
-    np.add.accumulate(e, axis=-1, out=e)
-    return cur, e[..., 1:]
+    run, e = np.empty(shape), np.empty(shape)
+    e[..., 1:] = terms
+    return _neumaier(run, e, s, comp, np.empty(terms.shape))
 
 
 def pairwise_sum(buf: np.ndarray) -> np.ndarray:
@@ -178,42 +218,60 @@ def pairwise_sum(buf: np.ndarray) -> np.ndarray:
     return buf[..., 0].copy()  # not a view, which would keep all of buf alive
 
 
-def log2sin_terms(x: np.ndarray, neg: np.ndarray, ang_err) -> tuple:
-    """log|2 sin(pi x)| of folded angles x, with the chunk's error charge
-    and its angle part, each summed along the last axis (per row for 2-D x).
+def log2sin_terms(x: np.ndarray, neg: np.ndarray, ang_err, out: np.ndarray, tmp: np.ndarray) -> tuple:
+    """Write log|2 sin(pi x)| of folded angles x into out, and return the
+    chunk's error charge and its angle part, each summed along the last
+    axis (per row for 2-D x).  tmp, shaped like x, is overwritten.
 
     ``ang_err`` bounds the absolute error of every angle (one bound per row
     for 2-D x); it enters the charge through the cot-conditioned term, and
     the angle part is that term alone: the charge minus the angle part is
     float64 rounding, which no precision lowers.  neg is not needed.
     """
-    sn = np.sin(np.pi * x)
-    term = np.log(sn + sn)
+    np.multiply(x, np.pi, out=out)
+    np.sin(out, out=out)
+    np.add(out, out, out=out)
+    np.log(out, out=out)
     # Per-term budget: x keeps relative 2^-53 and |arg cot arg| <= 1 on
     # (0, pi/2], so the sine keeps ~4.5 eps relative accuracy however
     # small x is; the log adds up to an ulp of its own magnitude.
     # ang_err covers the gap between the computed angle and the true
     # orbit point, cot-conditioned.
-    ang = ang_err * (1.0 / x).sum(axis=-1)
-    return term, _EPS * (TERM_FLOOR * x.shape[-1] + 2.0 * np.abs(term).sum(axis=-1)) + ang, ang
+    np.divide(1.0, x, out=tmp)
+    ang = ang_err * tmp.sum(axis=-1)
+    np.abs(out, out=tmp)
+    return _EPS * (TERM_FLOOR * x.shape[-1] + 2.0 * tmp.sum(axis=-1)) + ang, ang
 
 
-def cot_terms(x: np.ndarray, neg: np.ndarray, ang_err, square: bool = False) -> tuple:
-    """cot(pi {a}) of folded angles x, negated where neg (or cot^2 with
-    square=True), with the chunk's error charge and its angle part, each
-    summed along the last axis, as in ``log2sin_terms``."""
-    arg = np.pi * x
-    c = np.cos(arg) / np.sin(arg)
-    c2 = c * c
+def cot_terms(
+    x: np.ndarray, neg: np.ndarray, ang_err, out: np.ndarray, tmp: np.ndarray, square: bool = False
+) -> tuple:
+    """Write cot(pi {a}) of folded angles x, negated where neg (or cot^2
+    with square=True), into out, and return the chunk's error charge and
+    its angle part, each summed along the last axis, as in
+    ``log2sin_terms``."""
+    np.multiply(x, np.pi, out=tmp)
+    np.cos(tmp, out=out)
+    np.sin(tmp, out=tmp)
+    np.divide(out, tmp, out=out)
     m = x.shape[-1]
-    abs_c, sq = np.abs(c).sum(axis=-1), c2.sum(axis=-1)
+    np.abs(out, out=tmp)
+    abs_c = tmp.sum(axis=-1)
     # arg (1 + cot^2 arg) <= pi/2 + |cot arg| on (0, pi/2], so the
     # relative-accurate angle keeps the cot error at O(eps |cot|).
     if square:
+        np.multiply(out, out, out=out)
+        sq = out.sum(axis=-1)
         ang = ang_err * 2.0 * np.pi * (sq + abs_c)
-        return c2, _EPS * (6.0 * sq + 8.0 * abs_c + 4.0 * m) + ang, ang
+        return _EPS * (6.0 * sq + 8.0 * abs_c + 4.0 * m) + ang, ang
+    np.multiply(out, out, out=tmp)
+    sq = tmp.sum(axis=-1)
     ang = ang_err * np.pi * (m + sq)
-    return np.where(neg, -c, c), _EPS * (8.0 * abs_c + 4.0 * m) + ang, ang
+    # negate where neg: flip the sign bit
+    sign = tmp.view(np.uint64)
+    np.left_shift(neg, 63, out=sign)
+    np.bitwise_xor(out.view(np.uint64), sign, out=out.view(np.uint64))
+    return _EPS * (8.0 * abs_c + 4.0 * m) + ang, ang
 
 
 def orbit_sums(
@@ -227,24 +285,33 @@ def orbit_sums(
     x, the running Neumaier pair (s_i, c_i) after each of its terms, and
     its error charge and the charge's angle part, one per row.
 
-    ``terms(x, neg, ang_err)`` gives a chunk's terms, charge and angle part
-    (``log2sin_terms``, ``cot_terms``) from a bound on the absolute error
-    of every angle of a row: the caller's ``ang_err`` (a scalar or one per
-    row) plus drift (end + 1), with end the chunk's last index, plus
-    orbit_err(P).  drift is the P-bit omega's error 2^-P where the bound
-    must grow with the index (a prefix pass); a total charges its whole
-    (count + 1) 2^-P up front in ang_err.  The pair carries from chunk to
+    ``terms(x, neg, ang_err, out, tmp)`` writes a chunk's terms into out,
+    with tmp (shaped like x) as scratch, and returns their charge and its
+    angle part (``log2sin_terms``, ``cot_terms``) from a bound on the
+    absolute error of every angle of a row: the caller's ``ang_err`` (a
+    scalar or one per row) plus drift (end + 1), with end the chunk's last
+    index, plus orbit_err(P).  drift is the P-bit omega's error 2^-P where
+    the bound must grow with the index (a prefix pass); a total charges
+    its whole (count + 1) 2^-P up front in ang_err.  The pair carries from chunk to
     chunk, so s_i + c_i rounded once is the compensated sum of the first
     lo + i terms, whatever the chunk cuts.
+
+    The terms, the running pair and the scratch live in one set of
+    buffers per walk, like ``orbit``'s: x, run_s and run_c are valid until
+    the next chunk, so a caller that keeps them copies them.
     """
     anchors = list(anchors)
     ang_err = np.broadcast_to(np.asarray(ang_err, dtype=np.float64), len(anchors))
     s, comp = np.zeros((2, len(anchors)))
+    slab, width = _chunk_shape(len(anchors), count)
+    run, e = np.empty((2, slab, width + 1))
+    tmp = np.empty((slab, width))
     for r0, lo, x, neg in orbit(anchors, w, P, count):
-        rows = slice(r0, r0 + len(x))
-        end = lo + x.shape[-1]
-        term, err, ang = terms(x, neg, ang_err[rows] + drift * (end + 1) + orbit_err(P))
-        run_s, run_c = neumaier(term, s[rows], comp[rows])
+        k, m = x.shape
+        rows = slice(r0, r0 + k)
+        bound = ang_err[rows] + drift * (lo + m + 1) + orbit_err(P)
+        err, ang = terms(x, neg, bound, e[:k, 1 : m + 1], tmp[:k, :m])
+        run_s, run_c = _neumaier(run[:k, : m + 1], e[:k, : m + 1], s[rows], comp[rows], tmp[:k, :m])
         s[rows], comp[rows] = run_s[:, -1], run_c[:, -1]
         yield rows, lo, x, run_s, run_c, err, ang
 
@@ -283,7 +350,9 @@ def cot_block(
     one = 1 << P
     s = comp = err = 0.0
     min_u = one
-    walk = orbit_sums(lambda x, neg, ang: cot_terms(x, neg, ang, square), [a0], w, P, count, ang_err)
+    walk = orbit_sums(
+        lambda x, neg, ang, out, tmp: cot_terms(x, neg, ang, out, tmp, square), [a0], w, P, count, ang_err
+    )
     for _rows, lo, x, run_s, run_c, e, _ang in walk:
         # the chunk's closest approach, exactly in P-bit units
         a = (a0 + (lo + int(x.argmin()) + 1) * w) % one

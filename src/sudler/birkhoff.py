@@ -64,8 +64,9 @@ def _sine_partials(
     over r = 1..count for the anchor a = anchors[rows][j] / 2^P."""
     pi_pw = math.pi * ctx.omega_pow_float(n)
 
-    def terms(x, neg, _ang_err):  # the partial sums carry no bound
-        return np.sin(pi_pw * np.where(neg, 0.5 - x, x - 0.5)), 0.0, 0.0
+    def terms(x, neg, _ang_err, out, _tmp):  # the partial sums carry no bound
+        np.sin(pi_pw * np.where(neg, 0.5 - x, x - 0.5), out=out)
+        return 0.0, 0.0
 
     for rows, _lo, _x, run_s, run_c, _err, _ang in orbit_sums(
         terms, anchors, ctx.omega.mantissa, ctx.P, count, 0.0

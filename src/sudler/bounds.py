@@ -194,14 +194,14 @@ def _log_factored_perturbed(n: int, alpha_m: int, ctx: GoldenCtx) -> tuple[float
     ca = math.cos(math.pi * alpha)
     sa = math.sin(math.pi * alpha)
 
-    def terms(x, neg, _ang_err):
-        cot = cot_terms(x, neg, 0.0)[0]
+    def terms(x, neg, _ang_err, out, cot):
+        cot_terms(x, neg, 0.0, cot, out)  # the signed cot, with out as scratch
         factor = ca + cot * sa
         if factor.min() <= 0.0:
             raise ArithmeticError("factored perturbation term is nonpositive")
-        term = np.log(factor)
+        np.log(factor, out=out)
         rel = np.abs(cot * sa) / factor
-        return term, 2.0**-53 * (6.0 * x.shape[-1] + np.abs(term).sum(axis=-1) + rel.sum(axis=-1)), 0.0
+        return 2.0**-53 * (6.0 * x.shape[-1] + np.abs(out).sum(axis=-1) + rel.sum(axis=-1)), 0.0
 
     total = comp = err = 0.0
     for _rows, _lo, _x, run_s, run_c, e, _ang in orbit_sums(terms, [0], ctx.omega.mantissa, ctx.P, fn, 0.0):

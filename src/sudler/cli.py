@@ -9,7 +9,8 @@ error bound where one is tracked.  The CSV commands take their values a
 chunk of columns at a time and write one string per chunk; floats use
 shortest round-trip decimals.  Nothing is written, and no output file
 opened, before the first chunk is computed, so arguments and up-front
-refusals are settled first.  Every sum runs in one fixed order, so output
+refusals are settled first; ``profile`` and ``scan`` also settle the
+prefix pass's own refusal before any row (``products.check_prefix``).  Every sum runs in one fixed order, so output
 is reproducible bit for bit; ``--workers`` is accepted (N >= 1) and
 ignored.
 
@@ -231,11 +232,14 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig, out: IO[str]) -> int:
         _emit_csv(bk.cot_profile(args.n, ctx), "k,partial", cfg, out)
         return 0
     if cmd == "profile":
+        if args.n >= 1 and args.stride >= 1:  # profile() rejects the other arguments
+            pr.check_prefix(ctx.fibs.fib(args.n), ctx)
         _emit_csv(pr.profile(args.n, args.stride, ctx), "k,P,logP", cfg, out)
         return 0
     if cmd == "scan":
         if args.kmax < 2:
             raise ValueError(f"KMAX must be >= 2, got {args.kmax}")
+        pr.check_prefix(args.kmax, ctx)
         _emit_csv(bd.power_law_ratios(args.kmax, ctx), "k,logP_over_logk", cfg, out)
         return 0
     if cmd == "perturbed":

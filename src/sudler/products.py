@@ -37,6 +37,7 @@ takes that route where the direct sum's floor does not fit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -53,6 +54,7 @@ from ._engine import (
     merge_partials,
     neumaier,
     orbit,
+    orbit_err,
     pairwise_sum,
     prefix_sums,
 )
@@ -76,6 +78,7 @@ __all__ = [
     "decompose",
     "ratio_PFn_minus1",
     "profile",
+    "check_prefix",
     "log_abs_sin_product",
 ]
 
@@ -95,7 +98,8 @@ _C_RATE, _C_POW = 80.0 * _EPS, 5.0
 # turn the weights into the sum |term| that the chunk tree's error needs.
 _B_TERM, _C_TERM = 1.25, 1.0
 
-_STEPS = np.arange(1, CHUNK + 1, dtype=np.int64)
+_STEPS = np.arange(1, CHUNK + 1, dtype=np.float64)
+_STEPS.flags.writeable = False
 # Values of t per pairwise-sum buffer in the factor walk: the buffer holds
 # every row of a batch at once, and all of F_40/2 would take about 800 MB.
 _BATCH = 1 << 16
@@ -305,51 +309,64 @@ def _log_a(n: int, ctx: GoldenCtx) -> tuple[float, float]:
 
 def _residue_chunks(start: int, count: int, fn1: int, fn: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (t, d) for t = start+1..start+count, at most CHUNK at a time:
-    t as int64 and the centred residue d = (t F_{n-1} mod F_n) - F_n/2 as
-    float64, exact while F_n < 2^53.
+    t and the centred residue d = (t F_{n-1} mod F_n) - F_n/2 as float64,
+    both exact while CHUNK F_n < 2^63.  Every chunk is written into one set
+    of buffers, so t and d are valid until the next chunk.
 
     Each chunk anchors exactly at (lo F_{n-1}) mod F_n in Python ints and
     adds the steps i F_{n-1} mod F_n, i <= CHUNK, taken once in int64 (no
-    product exceeds CHUNK F_n), so one conditional subtraction of F_n
-    reduces the sum.  It is branch-free: seen as uint64, r - F_n wraps
-    above r exactly when r < F_n, so min(r, r - F_n) is r mod F_n.
+    product exceeds CHUNK F_n) and held as float64, so the sum r < 2 F_n
+    is exact and one conditional subtraction of F_n reduces it.  It is
+    branch-free: on the float64 bits seen as uint64, a negative r - F_n
+    lies above every non-negative r, so min(r, r - F_n) is r mod F_n.
     """
-    steps = _STEPS * fn1 % fn
+    width = min(CHUNK, count)
+    steps = (_STEPS[:width].astype(np.int64) * fn1 % fn).astype(np.float64)
+    t, res, d = np.empty((3, width))
     for lo in range(start, start + count, CHUNK):
         m = min(CHUNK, start + count - lo)
-        res = steps[:m] + (lo * fn1) % fn
-        r = res.view(np.uint64)
-        np.minimum(r, r - np.uint64(fn), out=r)
-        yield lo + _STEPS[:m], res - 0.5 * fn
+        np.add(steps[:m], (lo * fn1) % fn, out=res[:m])
+        np.subtract(res[:m], fn, out=d[:m])
+        r = res[:m].view(np.uint64)
+        np.minimum(r, d[:m].view(np.uint64), out=r)
+        np.add(_STEPS[:m], lo, out=t[:m])
+        np.subtract(res[:m], 0.5 * fn, out=d[:m])
+        yield t[:m], d[:m]
 
 
 def _walk_half(n: int, ctx: GoldenCtx, terms: list) -> tuple[list[float], list[float]]:
-    """Per term function of (t, d), the sum of its log-terms and the sum
-    of its weights over t < F_n/2, all from one walk over the residues.
+    """Per term function of (t, d, out, tmp), the sum of its log-terms and
+    the sum of its weights over t < F_n/2, all from one walk over the
+    residues.
 
-    Each chunk's log-terms are stacked as rows, zero-padded to CHUNK and
-    summed by ``pairwise_sum``, each row within TREE_RATE sum |term|; one
-    call sums all chunks of a batch of _BATCH values of t.  The batches run
-    in index order, and every row's chunk sums merge by one math.fsum in
-    that order.
+    Each chunk's log-terms are written into their row of a tree buffer,
+    zero-padded to CHUNK and summed by ``pairwise_sum``, each row within
+    TREE_RATE sum |term|; one call sums all chunks of a batch of _BATCH
+    values of t.  The batches run in index order, and every row's chunk
+    sums merge by one math.fsum in that order.  The tree buffer, the
+    residues and the terms' scratch are allocated once per walk.
     """
     fn = ctx.fibs.fib(n)
     fn1 = ctx.fibs.fib(n - 1)
     half = (fn - 1) // 2
     if half <= 0:
         return [0.0] * len(terms), [0.0] * len(terms)
+    chunks = _residue_chunks(0, half, fn1, fn)
+    tree = np.empty((len(terms), -(-min(_BATCH, half) // CHUNK), CHUNK))
+    tmp = np.empty((2, min(CHUNK, half)))
 
-    def batch(t0: int, cnt: int) -> tuple[np.ndarray, np.ndarray]:
-        buf = np.zeros((len(terms), -(-cnt // CHUNK), CHUNK))
+    def batch(cnt: int) -> tuple[np.ndarray, np.ndarray]:
+        # map_blocks runs the batches in order, so each takes the next chunks of the walk
+        nch = -(-cnt // CHUNK)
         weights = np.zeros(len(terms))
-        for j, (t, d) in enumerate(_residue_chunks(t0, cnt, fn1, fn)):
+        for j, (t, d) in enumerate(itertools.islice(chunks, nch)):
+            m = len(t)
+            tree[:, j, m:] = 0.0  # a short last chunk's stale tail
             for row, f in enumerate(terms):
-                buf[row, j, : len(t)], g = f(t, d)
-                weights[row] += g.sum()
-        return pairwise_sum(buf), weights
+                weights[row] += f(t, d, tree[row, j, :m], tmp[:, :m])[1].sum()
+        return pairwise_sum(tree[:, :nch]), weights
 
-    spans = [(t0, min(_BATCH, half - t0)) for t0 in range(0, half, _BATCH)]
-    results = map_blocks(batch, spans)
+    results = map_blocks(batch, [(min(_BATCH, half - t0),) for t0 in range(0, half, _BATCH)])
     chunk_sums = np.concatenate([sums for sums, _w in results], axis=1)
     log_sums = [math.fsum(row) for row in chunk_sums.tolist()]
     weights = [math.fsum(col) for col in zip(*(w.tolist() for _s, w in results))]
@@ -357,10 +374,18 @@ def _walk_half(n: int, ctx: GoldenCtx, terms: list) -> tuple[list[float], list[f
 
 
 def _b_terms(
-    t: np.ndarray, d: np.ndarray, fn: int, pw: float, include_quadratic: bool
+    t: np.ndarray,
+    d: np.ndarray,
+    fn: int,
+    pw: float,
+    include_quadratic: bool,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The log-terms log1p(w), w = -alpha_nt - h_nt, of B_n (w = -h_nt for
-    B*_n) for 0 < t < F_n/2, and the weights |w|/(1 + w).
+    B*_n) for ascending 0 < t < F_n/2, and the weights |w|/(1 + w),
+    written into out and tmp[0] (a (2, len(t)) scratch; both allocated
+    when not given).
 
     With tau = tan(pi z/2), z = omega^n xi_nt, alpha = 2 tau^2/(1 + tau^2)
     and sin(pi z) = 2 tau/(1 + tau^2), so w = -2 tau (tau + cot)/(1 + tau^2)
@@ -388,11 +413,37 @@ def _b_terms(
       |term| <= 1.25 |w|/(1 + w).
     In all (30.5u + 1.36 delta) |w|/(1 + w); B*_n's w costs less.
     """
-    tau = np.tan(_HALF_PI * (pw * (d * (1.0 / fn))))
-    cot = np.tan(np.minimum(2 * t, fn - 2 * t) * (_HALF_PI / fn))
-    np.divide(1.0, cot, out=cot, where=4 * t <= fn)
-    w = -2.0 * tau * (tau + cot if include_quadratic else cot) / (1.0 + tau * tau)
-    return np.log1p(w), np.abs(w) / (1.0 + w)
+    if out is None:
+        out, tmp = np.empty(len(t)), np.empty((2, len(t)))
+    tau, cot = tmp
+    np.multiply(d, 1.0 / fn, out=tau)
+    np.multiply(tau, pw, out=tau)
+    np.multiply(tau, _HALF_PI, out=tau)
+    np.tan(tau, out=tau)
+    # t ascends, so the k values t <= F_n/4, whose cot is a reciprocal, come
+    # first; a walk's chunk mostly lies on one side
+    q = fn // 4
+    k = len(t) if t[-1] <= q else 0 if t[0] > q else int(np.searchsorted(t, q, side="right"))
+    # min(2t, F_n - 2t) pi/(2F_n) as min(t, F_n/2 - t) (2 pi/(2F_n)): both
+    # round the same real product, since doubling is exact
+    step = 2.0 * (_HALF_PI / fn)
+    np.multiply(t[:k], step, out=cot[:k])
+    np.subtract(0.5 * fn, t[k:], out=cot[k:])
+    np.multiply(cot[k:], step, out=cot[k:])
+    np.tan(cot, out=cot)
+    np.divide(1.0, cot[:k], out=cot[:k])
+    if include_quadratic:
+        np.add(tau, cot, out=cot)
+    np.multiply(tau, tau, out=out)
+    np.add(out, 1.0, out=out)
+    np.multiply(tau, -2.0, out=tau)
+    np.multiply(tau, cot, out=tau)
+    np.divide(tau, out, out=tau)  # w
+    np.add(tau, 1.0, out=cot)
+    np.log1p(tau, out=out)
+    np.abs(tau, out=tau)
+    np.divide(tau, cot, out=tau)
+    return out, tau
 
 
 def _log_factors(n: int, ctx: GoldenCtx, which: tuple[str, ...]) -> list[tuple[float, float]]:
@@ -409,9 +460,9 @@ def _log_factors(n: int, ctx: GoldenCtx, which: tuple[str, ...]) -> list[tuple[f
     pw = ctx.omega_pow_float(n)
     s0 = 2.0 * math.sin(math.pi * pw * 0.5)
     term_fns = {
-        "B": lambda t, d: _b_terms(t, d, fn, pw, True),
-        "B*": lambda t, d: _b_terms(t, d, fn, pw, False),
-        "C": lambda t, d: _c_terms(t, d, fn, pw, s0),
+        "B": lambda t, d, out, tmp: _b_terms(t, d, fn, pw, True, out, tmp),
+        "B*": lambda t, d, out, tmp: _b_terms(t, d, fn, pw, False, out, tmp),
+        "C": lambda t, d, out, tmp: _c_terms(t, d, fn, pw, s0, out, tmp),
     }
     sums, weights = _walk_half(n, ctx, [term_fns[f] for f in which])
     delta = _omega_pow_err(n, ctx)
@@ -458,11 +509,17 @@ def B_star(n: int, ctx: GoldenCtx) -> float:
 
 
 def _c_terms(
-    t: np.ndarray, d: np.ndarray, fn: int, pw: float, s0: float
+    t: np.ndarray,
+    d: np.ndarray,
+    fn: int,
+    pw: float,
+    s0: float,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The log-terms log1p(-q), q = (s_n0/s_nt)^2, of C_n for 0 < t <= F_n/2,
-    and the weights q/(1 - q).  Raises ValueError naming t unless
-    s_n0/s_nt < 1.
+    and the weights q/(1 - q), written into out and tmp[1] (as at
+    _b_terms).  Raises ValueError naming the first t unless s_n0/s_nt < 1.
 
     s_nt = 2 sin y with y = pi (t - pw d)/F_n in (0, pi/2], where d is the
     centred residue res - F_n/2, and with tau = tan(y/2), s_n0/s_nt = s0 (1 + tau^2)/(4 tau).  Each term is
@@ -480,13 +537,29 @@ def _c_terms(
       on |term| <= q/(1 - q).
     In all (66.6u + 4.12 delta) q/(1 - q).
     """
-    tau = np.tan(_HALF_PI * ((t - pw * d) * (1.0 / fn)))
-    ratio = s0 * (1.0 + tau * tau) / (4.0 * tau)
-    bad = np.flatnonzero(~(ratio < 1.0))
-    if len(bad):
-        raise ValueError(f"C_n requires positive terms; s_n0/s_nt = {ratio[bad[0]]} at t = {t[bad[0]]}")
-    q = ratio * ratio
-    return np.log1p(-q), q / (1.0 - q)
+    if out is None:
+        out, tmp = np.empty(len(t)), np.empty((2, len(t)))
+    tau, ratio = tmp
+    np.multiply(d, pw, out=tau)
+    np.subtract(t, tau, out=tau)
+    np.multiply(tau, 1.0 / fn, out=tau)
+    np.multiply(tau, _HALF_PI, out=tau)
+    np.tan(tau, out=tau)
+    np.multiply(tau, tau, out=ratio)
+    np.add(ratio, 1.0, out=ratio)
+    # s0 (1 + tau^2)/(4 tau) as (s0/4)(1 + tau^2)/tau: quartering is exact
+    np.multiply(ratio, 0.25 * s0, out=ratio)
+    np.divide(ratio, tau, out=ratio)
+    if not ratio.max() < 1.0:  # NaN fails it too
+        bad = np.flatnonzero(~(ratio < 1.0))[0]
+        raise ValueError(f"C_n requires positive terms; s_n0/s_nt = {ratio[bad]} at t = {int(t[bad])}")
+    q = ratio
+    np.multiply(q, q, out=q)
+    np.negative(q, out=tau)
+    np.log1p(tau, out=out)
+    np.subtract(1.0, q, out=tau)
+    np.divide(q, tau, out=q)
+    return out, q
 
 
 def C_n(n: int, ctx: GoldenCtx) -> float:
@@ -580,6 +653,34 @@ def _log_prefix_iter(count: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[
         if err > ERR_BUDGET:
             _refuse_direct(f"prefix pass at k={end}, P={P}", err, ang)
         yield ks, logs
+
+
+def check_prefix(count: int, ctx: GoldenCtx) -> None:
+    """Raise the PrecisionExhausted of a count-term prefix pass
+    (``_log_prefix_iter``), same k and same source, before a caller formats
+    any row of it.
+
+    An a-priori bound clears most counts with no orbit work.  For
+    F_m <= count < F_{m+1}, every ||r omega|| with r <= count is at least
+    omega^m (best approximation), and so are the gaps between the folded
+    angles on either side of 0.  Less the P-bit drift and orbit_err(P),
+    that floor s caps each |log term| at L = max(ln 2, -ln(2 sin(pi s)))
+    and sum 1/x at 2 (1 + ln count)/s.  Only a count that this bound does
+    not clear runs the pass's own charges, one value per pass.
+    """
+    _check_floor(count)
+    m = 2
+    while ctx.fibs.fib(m + 1) <= count:
+        m += 1
+    ang_err = (count + 1) * 2.0 ** (-ctx.P) + orbit_err(ctx.P)
+    s = ctx.omega_pow_float(m) * (1.0 - 2.0**-50) - 2.0 * ang_err
+    if s > 0.0:
+        log_term = max(math.log(2.0), -math.log(2.0 * math.sin(math.pi * s)))
+        bound = _EPS * (TERM_FLOOR + 2.0 * log_term) * count + ang_err * 2.0 * (1.0 + math.log(count)) / s
+        if bound * 1.01 <= ERR_BUDGET:  # 1% for the float64 evaluation of the charges
+            return
+    for _chunk in _log_prefix_iter(count, count, ctx):
+        pass
 
 
 def profile(n_max: int, stride: int, ctx: GoldenCtx) -> Iterator[tuple[range, list[float], list[float]]]:

@@ -175,6 +175,19 @@ def test_scan_refusal_names_float64_rounding(tmp_path, capsys):
     assert "the log terms' float64 rounding, which no --precision lowers" in err
 
 
+def test_scan_refused_before_any_row(tmp_path, capsys):
+    """The prefix pass's own refusal comes before the output is opened or
+    a row is written, with the same message as a streamed pass."""
+    path = tmp_path / "scan.csv"
+    assert cli.run(["scan", "1600000", "-o", str(path)]) == 3
+    assert not path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prefix pass at k=1556480, P=192" in captured.err
+    assert run(["profile", "25", "-P", "64"]) == (3, "")
+    assert "prefix pass at k=40960, P=64" in capsys.readouterr().err
+
+
 def test_precision_too_low_is_argument_error():
     assert cli.run(["q", "5", "--precision", "16"]) == 2
     # commands that need no omega reject it too

@@ -459,6 +459,23 @@ def test_walk_consumers_keep_their_bits(ctx):
     assert got == PINNED_HEX
 
 
+def test_module_arrays_are_read_only():
+    """Chunks are computed in place with out=, so every module-level array
+    of the two walks' modules must refuse a write."""
+    from sudler import _engine, products
+
+    arrays = {
+        f"{mod.__name__}.{name}": value
+        for mod in (_engine, products)
+        for name, value in vars(mod).items()
+        if isinstance(value, np.ndarray)
+    }
+    assert set(arrays) == {"sudler._engine._SCALE", "sudler.products._STEPS"}
+    for name, arr in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(arr, 1, out=arr)
+
+
 def test_import_loads_no_thread_pool():
     """Blocks run in one thread, so importing the package must not pull
     in concurrent.futures (about 5 ms of the import)."""

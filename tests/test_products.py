@@ -331,11 +331,32 @@ class TestVectorisedFactors:
         with pytest.raises(ValueError, match="positive terms"):
             C_n(10, bent)
 
+    def test_c_guard_names_the_first_offending_t(self, ctx):
+        """The chunk's guard is one max; the t it names is the first whose
+        s_n0/s_nt is not below 1, found here by a scalar loop."""
+        n, pw = 10, 0.9
+        fn, fn1 = ctx.fibs.fib(n), ctx.fibs.fib(n - 1)
+        s0 = 2.0 * math.sin(math.pi * pw * 0.5)
+
+        def ratio(t):
+            tau = math.tan(math.pi / 2 * ((t - pw * (t * fn1 % fn - 0.5 * fn)) * (1.0 / fn)))
+            return s0 * (1.0 + tau * tau) / (4.0 * tau)
+
+        first = next(t for t in range(1, fn // 2 + 1) if not ratio(t) < 1.0)
+        bent = SimpleNamespace(fibs=ctx.fibs, omega_pow_float=lambda n: pw)
+        with pytest.raises(ValueError, match=rf"positive terms; s_n0/s_nt = \S+ at t = {first}$"):
+            C_n(n, bent)
+
+    def test_c_rejects_nan_terms(self, ctx):
+        bent = SimpleNamespace(fibs=ctx.fibs, omega_pow_float=lambda n: math.nan)
+        with pytest.raises(ValueError, match="positive terms; s_n0/s_nt = nan at t = 1$"):
+            C_n(10, bent)
+
     def test_residues_exact_past_int64_products(self, ctx):
         fn, fn1 = ctx.fibs.fib(60), ctx.fibs.fib(59)
         assert (fn - 1) * fn1 > 2**63  # a bare int64 t * F_59 overflows here
         start, count = fn - CHUNK - 3, CHUNK + 2
-        chunks = list(_residue_chunks(start, count, fn1, fn))
+        chunks = [(t.copy(), d.copy()) for t, d in _residue_chunks(start, count, fn1, fn)]
         assert [len(t) for t, _d in chunks] == [CHUNK, 2]
         t = [int(v) for chunk, _d in chunks for v in chunk]
         d = [Fraction(v) for _t, chunk in chunks for v in chunk.tolist()]
@@ -416,6 +437,23 @@ class TestProfile:
         assert rows == list(range(1, len(rows) + 1))
         assert 0 < named - rows[-1] <= CHUNK
 
+    @pytest.mark.parametrize("P, count", [(64, 200_000), (192, 1_600_000)])
+    def test_check_prefix_raises_what_the_pass_raises(self, P, count):
+        """The angle-term and the rounding refusal, message for message."""
+        ctx = make_ctx(P)
+        with pytest.raises(PrecisionExhausted) as streamed:
+            list(products._log_prefix_iter(count, count, ctx))
+        with pytest.raises(PrecisionExhausted) as checked:
+            products.check_prefix(count, ctx)
+        assert str(checked.value) == str(streamed.value)
+
+    def test_check_prefix_clears_f28_without_orbit_work(self, ctx, monkeypatch):
+        calls = []
+        walk = _engine.orbit
+        monkeypatch.setattr(_engine, "orbit", lambda *a, **kw: calls.append(1) or walk(*a, **kw))
+        products.check_prefix(ctx.fibs.fib(28), ctx)
+        assert calls == []
+
     def test_workers_do_not_change_values(self):
         """run_checks still accepts ``workers`` and ignores it."""
         only = {"decomposition-identity", "profile-consistency", "split-product-agreement"}
@@ -424,6 +462,39 @@ class TestProfile:
             for kw in ({"workers": 4}, {})
         ]
         assert rows[0] == rows[1] and len(rows[0]) == len(only)
+
+    def test_nested_walks_keep_their_bits(self, ctx):
+        """Q_n and decompose, each with walks of their own, run between the
+        chunks of a profile pass, of log_U_partials and of a bare orbit-sum
+        walk whose chunk is read only after them; every value equals an
+        uninterleaved pass bit for bit, so no buffer outlives or is shared
+        beyond its walk."""
+        count = 3 * CHUNK + 5
+        w, P = ctx.omega.mantissa, ctx.P
+
+        def passes(between):
+            rows, u, walk = [], [], []
+            for ks, ps, logs in profile(22, 1, ctx):  # F_22 = 17711: three chunks
+                between()
+                rows.append((list(ks), [v.hex() for v in ps + logs]))
+            for partials in products.log_U_partials(count, ctx):
+                between()
+                u.append(partials.tobytes())
+            for _rows, lo, x, run_s, run_c, err, ang in _engine.orbit_sums(
+                _engine.log2sin_terms, [0, 12345], w, P, count, 0.0
+            ):
+                between()
+                walk.append((lo, x.tobytes(), run_s.tobytes(), run_c.tobytes(), err.tobytes(), ang.tobytes()))
+            return rows, u, walk
+
+        q, dec = Q_n(15, ctx), decompose(12, ctx)
+
+        def nested():
+            assert Q_n(15, ctx) == q and decompose(12, ctx) == dec
+
+        alone = passes(lambda: None)
+        assert len(alone[0]) == 3 and len(alone[1]) == len(alone[2]) // 2 == 4
+        assert passes(nested) == alone
 
     def test_windowed_peaks_sit_before_fibonacci_indices(self, ctx):
         """Within each window (F_{n-1}, F_n] the largest P_k is at F_n - 1."""
