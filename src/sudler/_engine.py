@@ -139,11 +139,10 @@ def _fold_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return np.empty(shape), np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty((3, *shape))
 
 
-def _fold(r: np.ndarray, bufs: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _fold(r: np.ndarray, bufs: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(x, neg) from the unnormalised limb sums r = anchor + i*w, mod 2^144,
-    written into bufs (``_fold_buffers``, allocated when not given).
-    Overwrites r."""
-    x, neg, word, f = bufs or _fold_buffers(r.shape[1:])
+    written into bufs (``_fold_buffers``).  Overwrites r."""
+    x, neg, word, f = bufs
     np.right_shift(r[0], _LIMB, out=word)
     np.add(r[1], word, out=r[1])
     np.right_shift(r[1], _LIMB, out=word)
