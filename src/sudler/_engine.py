@@ -14,17 +14,26 @@ precision even at the closest approaches to 0.  Every limb is at most
 M = 2^48 - 1, so the negation is branch-free: M - v = v ^ M, and the low
 limb's 2^48 - v = (v ^ M) + 1.
 
+Every walk evaluates its chunks in place: it allocates one set of chunk
+buffers when it starts, and every numpy operation of every chunk writes
+into them with out=, in the order of the plain expressions, so the
+values are those of fresh temporaries bit for bit.  The arrays a walk
+yields are valid until its next chunk.  Buffers belong to one walk, never
+to the module, so a walk may run between the chunks of another, and the
+module's own arrays are read-only.
+
 ``orbit`` takes a sequence of anchors that share one term count: each
 anchor is a row, rows are cut into slabs of at most CHUNK angles, and every
 row comes out bit-identical to a one-row call, so many short sums (the
 Zeckendorf segments) share one call's fixed cost.
 
 Every orbit sum is one walk, ``orbit_sums``: it runs ``orbit`` over the
-rows, asks a term function for each chunk's terms and their rigorous
-error charge, and carries one running Neumaier pair per row in prefix-sum
-form (``neumaier``): one cumulative sum for the running values, the exact
-TwoSum error of each step, and a second cumulative sum for the
-compensation.  Both sums run strictly left to right, so the result is
+rows, has a term function write each chunk's terms into the walk's
+buffer and return their rigorous error charge, and carries one running
+Neumaier pair per row in prefix-sum form (``neumaier``, whose in-place
+core runs on the walk's buffers): one cumulative sum for the running
+values, the exact TwoSum error of each step, and a second cumulative sum
+for the compensation.  Both sums run strictly left to right, so the result is
 bit-identical to the scalar recurrence, and a sum carried from chunk to
 chunk does not depend on where the chunks are cut.  A total
 (``log2sin_block``, ``cot_block``) is the running pair after the last

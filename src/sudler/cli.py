@@ -10,9 +10,9 @@ chunk of columns at a time and write one string per chunk; floats use
 shortest round-trip decimals.  Nothing is written, and no output file
 opened, before the first chunk is computed, so arguments and up-front
 refusals are settled first; ``profile`` and ``scan`` also settle the
-prefix pass's own refusal before any row (``products.check_prefix``).  Every sum runs in one fixed order, so output
-is reproducible bit for bit; ``--workers`` is accepted (N >= 1) and
-ignored.
+prefix pass's own refusal before any row (``products.check_prefix``).
+Every sum runs in one fixed order, so output is reproducible bit for bit;
+``--workers`` is accepted (N >= 1) and ignored.
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
 3 precision exhaustion.  SUDLER_PRECISION_BITS overrides the default

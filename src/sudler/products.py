@@ -27,6 +27,9 @@ square root of its full-period product.  One walk over those residues
 (``_log_factors``) evaluates any of B_n, B*_n and C_n on the same chunks,
 stacks their log-terms as rows and sums each chunk by the pinned tree
 ``_engine.pairwise_sum``, whose error is charged apart from the terms'.
+Like the orbit walk, the factor walk evaluates every chunk in place: the
+residues, each term function's scratch and the tree buffer are allocated
+once per walk, and each log-term lands directly in its tree row.
 
 The direct orbit sum charges every term a float64 rounding floor, so its
 bound crosses ERR_BUDGET at F_32 whatever the precision.  The factors'
@@ -335,9 +338,10 @@ def _residue_chunks(start: int, count: int, fn1: int, fn: int) -> Iterator[tuple
 
 
 def _walk_half(n: int, ctx: GoldenCtx, terms: list) -> tuple[list[float], list[float]]:
-    """Per term function of (t, d, out, tmp), the sum of its log-terms and
-    the sum of its weights over t < F_n/2, all from one walk over the
-    residues.
+    """Per term function, the sum of its log-terms and the sum of its
+    weights over t < F_n/2, all from one walk over the residues.  A term
+    function f(t, d, out, tmp) writes a chunk's log-terms into out, with
+    tmp (2, len(t)) as scratch, and returns (out, weights).
 
     Each chunk's log-terms are written into their row of a tree buffer,
     zero-padded to CHUNK and summed by ``pairwise_sum``, each row within
@@ -665,10 +669,11 @@ def check_prefix(count: int, ctx: GoldenCtx) -> None:
     omega^m (best approximation), and so are the gaps between the folded
     angles on either side of 0.  Less the P-bit drift and orbit_err(P),
     that floor s caps each |log term| at L = max(ln 2, -ln(2 sin(pi s)))
-    and sum 1/x at 2 (1 + ln count)/s.  Only a count that this bound does
-    not clear runs the pass's own charges, one value per pass.
+    and sum 1/x at 2 (1 + ln count)/s.  A count that this bound does not
+    clear runs the pass itself, unformatted (one value per pass): it
+    refuses up front past the float64 floor, and otherwise at the chunk
+    where its charges cross the budget.
     """
-    _check_floor(count)
     m = 2
     while ctx.fibs.fib(m + 1) <= count:
         m += 1
