@@ -261,3 +261,39 @@ class TestIdentitySuite:
         a = identity_suite(40, seed=5)
         b = identity_suite(40, seed=5)
         assert a == b
+
+    # (name, max_rel_dev.hex(), worst_n, samples) per identity.  n_max = 1200
+    # takes k qm past 2^63, so an int64 phase product would wrap there.
+    PINNED = {
+        (200, 12345, 20): [
+            ("cos-shift-product-even", "0x1.16f9dbf17d2dap-43", 198, 2000),
+            ("cos-shift-product-odd", "0x1.10c0000000000p-43", 187, 1980),
+            ("cot-shift-sum", "0x1.0c68765cdd9ebp-42", 186, 3980),
+            ("sin-sum-closed-form", "0x1.72c0000000000p-45", 200, 3980),
+            ("sine-double-roots-even", "0x1.de18b595b10e9p-44", 198, 100),
+            ("sine-double-roots-odd", "0x1.a87f46debbd9dp-44", 177, 99),
+            ("sine-double-shift-product-even", "0x1.04ce11556db2fp-42", 198, 2000),
+            ("sine-double-shift-product-odd", "0x1.462b4bda8231fp-42", 187, 1980),
+            ("sine-roots-product", "0x1.687d6343eafa6p-44", 196, 199),
+            ("sine-shift-product", "0x1.22ac5e73c73f7p-42", 196, 3980),
+            ("weighted-sin-sum-closed-form", "0x1.87ed10e85b8f7p-41", 144, 3980),
+        ],
+        (1200, 3, 1): [
+            ("cos-shift-product-even", "0x1.b7db06a0bd257p-42", 704, 600),
+            ("cos-shift-product-odd", "0x1.71d0000000000p-41", 1085, 599),
+            ("cot-shift-sum", "0x1.7456b003ad69fp-40", 1184, 1199),
+            ("sin-sum-closed-form", "0x1.9680000000000p-43", 972, 1199),
+            ("sine-double-roots-even", "0x1.0882268583ac7p-41", 1184, 600),
+            ("sine-double-roots-odd", "0x1.207140e281228p-41", 1085, 599),
+            ("sine-double-shift-product-even", "0x1.0a0692635492cp-40", 792, 600),
+            ("sine-double-shift-product-odd", "0x1.b00d84c8aaf71p-40", 1151, 599),
+            ("sine-roots-product", "0x1.1245306eb3516p-41", 1184, 1199),
+            ("sine-shift-product", "0x1.bdb3a35bc36ebp-40", 1151, 1199),
+            ("weighted-sin-sum-closed-form", "0x1.35a218a1f65d6p-37", 1012, 1199),
+        ],
+    }
+
+    @pytest.mark.parametrize("args", sorted(PINNED))
+    def test_bits_pinned(self, args):
+        got = [(c.name, c.max_rel_dev.hex(), c.worst_n, c.samples) for c in identity_suite(*args)]
+        assert got == self.PINNED[args]
