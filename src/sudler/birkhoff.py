@@ -8,6 +8,7 @@ sine/cosine sum and product identities.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -268,12 +269,12 @@ def lagrange_k_sin_sum(theta: float, q: float, n: int) -> float:
 
 def direct_sin_sum(theta: float, x: float, n: int) -> float:
     k = np.arange(1, n + 1)
-    return math.fsum(np.sin(theta + k * x))
+    return math.fsum(np.sin(theta + k * x).tolist())
 
 
 def direct_k_sin_sum(theta: float, x: float, n: int) -> float:
     k = np.arange(1, n + 1)
-    return math.fsum(k * np.sin(theta + k * x))
+    return math.fsum((k * np.sin(theta + k * x)).tolist())
 
 
 @dataclass(frozen=True)
@@ -310,17 +311,22 @@ def identity_suite(
         u = rng.uniform(0.1, 0.3, size=size)
         return u * rng.choice([-1.0, 1.0], size=size)
 
+    low53 = np.uint64(2**53 - 1)
     for n in range(2, n_max + 1):
         r = np.arange(n)
+        ks = np.arange(1, n + 1, dtype=np.uint64)
         # Lagrange sums at x = pi q for dyadic q = qm / 2^52; every phase
         # theta + k x is reduced mod 2 pi through exact integer arithmetic
-        # on qm, on both sides.
+        # on qm, on both sides: k qm wraps mod 2^64 in uint64, which keeps
+        # its low 53 bits (``_red(k * qm, 52)``) exact for every n.
         for _ in range(phis_per_n):
             theta = rng.uniform(0.0, 2.0 * math.pi)
             qm = int(rng.integers(int(0.064 * 2**52), int(1.936 * 2**52)))
-            terms = [math.sin(theta + math.pi * _red(k * qm, 52)) for k in range(1, n + 1)]
+            x = ((ks * np.uint64(qm)) & low53).astype(np.float64) * 2.0**-52
+            # math.sin per term: np.sin may round a term one ulp apart
+            terms = list(map(math.sin, (theta + math.pi * x).tolist()))
             direct = math.fsum(terms)
-            direct_k = math.fsum(k * t for k, t in zip(range(1, n + 1), terms))
+            direct_k = math.fsum(map(operator.mul, range(1, n + 1), terms))
             q = qm * 2.0**-52
             record("sin-sum-closed-form", _dev(direct, lagrange_sin_sum(theta, q, n)), n)
             record("weighted-sin-sum-closed-form", _dev(direct_k, lagrange_k_sin_sum(theta, q, n)), n)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -218,8 +218,10 @@ def n1_alpha_counterexample(ctx: GoldenCtx) -> float:
     return 2.0 * math.sin(math.pi * (u / (1 << ctx.P)))
 
 
-@dataclass(frozen=True)
-class SegmentFactor:
+class SegmentFactor(NamedTuple):
+    """One Zeckendorf segment of P_k: the F_s-term product from phase
+    alpha = k_s omega (mod 1, nearest 0), with its log and value."""
+
     s: int
     k_s: int
     alpha: float
@@ -243,14 +245,14 @@ class SplitProduct:
 
 def _assemble_split(walk: list, ctx: GoldenCtx) -> tuple[tuple[SegmentFactor, ...], float, float]:
     one = 1 << ctx.P
-    segments = tuple(
-        SegmentFactor(s=s, k_s=tail, alpha=phase / one, log_factor=log_f, factor=math.exp(log_f))
-        for s, tail, phase, (log_f, _err) in walk
-    )
+    segments = []
+    logs = []
     err = 0.0  # left to right: sum() compensates floats from Python 3.12 on
-    for *_seg, (_log_f, seg_err) in walk:
+    for s, tail, phase, (log_f, seg_err) in walk:
+        segments.append(SegmentFactor(s, tail, phase / one, log_f, math.exp(log_f)))
+        logs.append(log_f)
         err += seg_err
-    return segments, math.fsum(seg.log_factor for seg in segments), err
+    return tuple(segments), math.fsum(logs), err
 
 
 def _split_log(k: int, ctx: GoldenCtx) -> tuple[tuple[SegmentFactor, ...], float, float]:

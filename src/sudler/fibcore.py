@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "OMEGA",
@@ -98,28 +98,40 @@ def fib(n: int) -> int:
     return TABLE.fib(n)
 
 
-@dataclass(frozen=True)
-class ZeckRep:
-    """Zeckendorf representation n = sum b_s F_s with no two adjacent ones.
+class ZeckRep(NamedTuple):
+    """Zeckendorf representation n = sum b_s F_s with no two adjacent ones,
+    held as one integer bit mask: bit s - 1 of ``mask`` is b_s.
 
-    ``bits[s - 1]`` holds b_s for s = 1..m; index 1 is never used, and
-    b_m = 1 whenever n >= 1.  ``length`` counts the ones.
+    ``m`` is the top index (b_m = 1 whenever n >= 1) and ``length`` counts
+    the ones; index 1 is never used.  ``bits`` spells the mask out as the
+    tuple (b_1, ..., b_m).  Every reader walks the set bits from the top.
     """
 
     n: int
-    bits: tuple[int, ...]
+    mask: int
 
     @property
     def m(self) -> int:
-        return len(self.bits)
+        return self.mask.bit_length()
 
     @property
     def length(self) -> int:
-        return sum(self.bits)
+        return self.mask.bit_count()
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """(b_1, ..., b_m); empty for n = 0."""
+        return tuple(map(int, reversed(f"{self.mask:b}"))) if self.mask else ()
 
     def indices(self) -> tuple[int, ...]:
         """Indices s with b_s = 1, in decreasing order."""
-        return tuple(s for s in range(self.m, 0, -1) if self.bits[s - 1])
+        out = []
+        mask = self.mask
+        while mask:
+            s = mask.bit_length()
+            out.append(s)
+            mask ^= 1 << (s - 1)
+        return tuple(out)
 
     def segments(self) -> list[tuple[int, int]]:
         """(s, n_s) for each index s with b_s = 1, in decreasing order, where
@@ -138,32 +150,33 @@ class ZeckRep:
 
     def bit(self, s: int) -> int:
         """b_s, defined as 0 beyond the top index."""
-        return self.bits[s - 1] if 1 <= s <= self.m else 0
+        return (self.mask >> (s - 1)) & 1 if s >= 1 else 0
 
 
 def zeckendorf(n: int) -> ZeckRep:
     """Greedy decomposition of n >= 0 into non-adjacent Fibonacci numbers.
 
-    Takes the Fibonacci floor F_m of n once, then walks the indices down
-    from m: whenever F_i fits into the remainder, b_i = 1 and the walk
-    skips to i - 2 (the remainder is now below F_{i-1}).  This is the
-    greedy choice of the largest Fibonacci floor at every step.  0 maps to
-    the empty representation of length 0.
+    Each step takes the Fibonacci floor F_i of the remainder by one
+    ``bisect_right`` into the table, sets bit i - 1 of the mask and
+    subtracts F_i; the remainder is then below F_{i-1}, so the next search
+    stops short of index i - 1.  This is the greedy choice of the largest
+    Fibonacci floor at every step, one search per one bit.  0 maps to the
+    empty representation (mask 0).
     """
     if n < 0:
         raise ValueError(f"zeckendorf requires n >= 0, got {n}")
-    i, _v = TABLE.floor(n)
-    values = TABLE._values  # floor() has extended the table past n
-    bits = [0] * i
+    values = TABLE._values
+    if values[-1] <= n:
+        TABLE.floor(n)  # extends the table past n
+    mask = 0
     remaining = n
+    hi = len(values)
     while remaining:
-        if values[i] <= remaining:
-            bits[i - 1] = 1
-            remaining -= values[i]
-            i -= 2
-        else:
-            i -= 1
-    return ZeckRep(n=n, bits=tuple(bits))
+        i = bisect_right(values, remaining, 0, hi) - 1
+        mask |= 1 << (i - 1)
+        remaining -= values[i]
+        hi = i - 1
+    return ZeckRep(n, mask)
 
 
 def fib_length_bounds(n: int) -> tuple[int, int]:

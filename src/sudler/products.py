@@ -260,7 +260,7 @@ def sudler_P_rational(p: int, q: int, n: int) -> float:
     j = (r * p) % q
     j = np.minimum(j, q - j)
     logs = np.log(2.0 * np.sin(np.pi * (j / q)))
-    return math.exp(math.fsum(logs))
+    return math.exp(math.fsum(logs.tolist()))
 
 
 def Q_n(n: int, ctx: GoldenCtx, workers: int = 1) -> ProductResult:

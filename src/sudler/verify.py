@@ -83,20 +83,39 @@ def check_fib_closed_form(cfg: _Cfg) -> tuple[bool, str]:
 
 
 def check_zeckendorf_roundtrip(cfg: _Cfg) -> tuple[bool, str]:
+    """Every n <= n_max from ``fc.zeckendorf``, read back from its mask as
+    arrays, at most 8192 n at a time so that only one chunk is held."""
     n_max = _q(cfg, 10_000, 100_000)
-    for n in range(n_max + 1):
-        rep = fc.zeckendorf(n)
-        if rep.value() != n:
-            return False, f"reconstruction fails at {n}"
-        bits = rep.bits
-        if any(bits[s] and bits[s + 1] for s in range(len(bits) - 1)):
-            return False, f"adjacent ones at {n}"
-        if rep.bit(1):
-            return False, f"index 1 used at {n}"
-        if n >= 1 and not (rep.m >= 2 and rep.bits[-1] == 1):
-            return False, f"top bit unset at {n}"
-        if rep.length > rep.m // 2:
-            return False, f"length > m/2 at {n}"
+    fibs = [np.uint64(fc.fib(s)) for s in range(1, 65)]  # F_1..F_64
+    one = np.uint64(1)
+    for start in range(0, n_max + 1, 8192):
+        ns = range(start, min(start + 8192, n_max + 1))
+        masks = [fc.zeckendorf(n).mask for n in ns]
+        width = max(masks).bit_length()
+        if width >= 64:
+            raise ArithmeticError(f"a {width}-bit mask in n = {ns[0]}..{ns[-1]} overflows uint64")
+        masks = np.array(masks, dtype=np.uint64)
+        value = np.zeros(len(ns), dtype=np.uint64)  # sum b_s F_s < F_65
+        length = np.zeros(len(ns), dtype=np.uint64)
+        m = np.zeros(len(ns), dtype=np.uint64)
+        for s in range(width):
+            bit = (masks >> np.uint64(s)) & one
+            value += bit * fibs[s]
+            length += bit
+            m[bit == one] = s + 1
+        n = np.arange(ns.start, ns.stop, dtype=np.uint64)
+        failures = (
+            (value != n, "reconstruction fails"),
+            ((masks & (masks >> one)) != 0, "adjacent ones"),
+            ((masks & one) != 0, "index 1 used"),
+            ((n >= 1) & (m < 2), "top bit unset"),
+            (length > m // np.uint64(2), "length > m/2"),
+        )
+        bad = np.logical_or.reduce([fails for fails, _what in failures])
+        if bad.any():
+            i = int(np.argmax(bad))  # the first failing n, then its first failing property
+            what = next(what for fails, what in failures if fails[i])
+            return False, f"{what} at {ns[i]}"
     return True, f"roundtrip + non-adjacency, n <= {n_max}"
 
 

@@ -28,6 +28,31 @@ def test_zeck_subcommand():
     assert "length = 2" in out
 
 
+ZECK_10_30 = (
+    "F_145 + F_140 + F_137 + F_130 + F_127 + F_125 + F_121 + F_118 + F_116 + F_112 + F_109 + "
+    "F_107 + F_105 + F_97 + F_93 + F_89 + F_86 + F_81 + F_76 + F_73 + F_71 + F_69 + F_67 + "
+    "F_65 + F_62 + F_60 + F_57 + F_53 + F_50 + F_48 + F_46 + F_38 + F_36 + F_34 + F_29 + "
+    "F_27 + F_25 + F_22 + F_13 + F_11 + F_9 + F_2"
+)
+
+
+@pytest.mark.parametrize(
+    "n, out",
+    [
+        (0, "0 = 0\nindices = []  m = 0  length = 0\n"),
+        (7, "7 = F_5 + F_3\nindices = [5, 3]  m = 5  length = 2\n"),
+        (151, "151 = F_12 + F_5 + F_3\nindices = [12, 5, 3]  m = 12  length = 3\n"),
+        (
+            10**30,
+            f"{10**30} = {ZECK_10_30}\n"
+            f"indices = [{ZECK_10_30.replace('F_', '').replace(' +', ',')}]  m = 145  length = 42\n",
+        ),
+    ],
+)
+def test_zeck_stdout_is_pinned(n, out):
+    assert run(["zeck", str(n)]) == (0, out)
+
+
 def test_q_subcommand_reports_value_and_err():
     status, out = run(["q", "1"])
     assert status == 0

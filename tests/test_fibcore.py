@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sudler import fibcore as fc
+from sudler import verify
 
 
 def test_fib_base_cases():
@@ -98,6 +99,28 @@ def test_zeckendorf_segments():
     assert fc.zeckendorf(0).segments() == []
 
 
+@pytest.mark.parametrize("n", [0, 7, 151, 10**30, 2**200 + 12345])
+def test_mask_readers_agree(n):
+    """The mask holds any n, far past 64 bits, and every reader of it tells
+    the same representation as the greedy oracle."""
+    rep = fc.zeckendorf(n)
+    assert rep == (n, rep.mask)
+    bits = greedy_zeckendorf_bits(n)
+    assert rep.bits == bits
+    assert rep.mask == sum(b << s for s, b in enumerate(bits))
+    assert (rep.m, rep.length) == (len(bits), sum(bits))
+    assert rep.indices() == tuple(s for s in range(len(bits), 0, -1) if bits[s - 1])
+    tails = [sum(fc.fib(u) for u in rep.indices() if u > s) for s in rep.indices()]
+    assert rep.segments() == list(zip(rep.indices(), tails))
+    assert rep.value() == n
+    assert [rep.bit(s) for s in range(0, len(bits) + 3)] == [0, *bits, 0, 0]
+
+
+def test_zeckendorf_rejects_negative():
+    with pytest.raises(ValueError, match="n >= 0"):
+        fc.zeckendorf(-1)
+
+
 @given(st.integers(min_value=0, max_value=10**15))
 @settings(max_examples=300, deadline=None)
 def test_zeckendorf_roundtrip_property(n):
@@ -155,3 +178,54 @@ def test_fib_closed_form_high_precision():
     for n in range(1, 61):
         approx = ((1 / w) ** n - (-w) ** n) / sqrt5
         assert abs(float(approx) - fc.fib(n)) < 1e-6
+
+
+# 4321 = F_19 + F_11 + F_9 + F_7 + F_4 + F_2; each mutant breaks one property
+# of the rep that verify's fibcore checks read for 4321 alone.
+MASK_4321 = 0b1000000010101001010
+MUTANTS = {
+    "value": lambda mask: mask ^ 0b10,  # drops F_2: 4320
+    "adjacent": lambda mask: mask ^ 0b1110000,  # F_7 -> F_6 + F_5, same value
+    "index-1": lambda mask: mask ^ 0b11,  # F_2 -> F_1, same value
+    "extra-top": lambda mask: mask | 1 << 19,  # F_20 on top: m = 20
+}
+
+
+def _mutate_4321(monkeypatch, mutant):
+    real = fc.zeckendorf
+    assert real(4321).mask == MASK_4321
+
+    def zeckendorf(n):
+        rep = real(n)
+        return rep._replace(mask=MUTANTS[mutant](rep.mask)) if n == 4321 else rep
+
+    monkeypatch.setattr(verify.fc, "zeckendorf", zeckendorf)
+
+
+@pytest.mark.parametrize(
+    "mutant, detail",
+    [
+        ("value", "reconstruction fails at 4321"),
+        ("adjacent", "adjacent ones at 4321"),
+        ("index-1", "index 1 used at 4321"),
+        ("extra-top", "reconstruction fails at 4321"),
+    ],
+)
+def test_roundtrip_check_names_a_wrong_rep(monkeypatch, mutant, detail):
+    _mutate_4321(monkeypatch, mutant)
+    [res] = verify.run_checks(level="quick", only={"zeckendorf-roundtrip"})
+    assert (res.passed, res.detail) == (False, detail)
+
+
+def test_length_bounds_check_names_an_extra_top_bit(monkeypatch):
+    _mutate_4321(monkeypatch, "extra-top")
+    [res] = verify.run_checks(level="quick", only={"fib-length-bounds"})
+    assert (res.passed, res.detail) == (False, "n=4321: m=20 vs 19, F_L=7 vs 9")
+
+
+def test_fibcore_checks_pass_unmutated():
+    results = verify.run_checks(level="quick", only={"zeckendorf-roundtrip", "fib-length-bounds"})
+    assert [(r.passed, r.detail) for r in results] == [
+        (True, "roundtrip + non-adjacency, n <= 10000"),
+        (True, "index/length bounds hold, n <= 10000"),
+    ]
