@@ -6,6 +6,10 @@ All arithmetic is exact (Python big integers).
 F_n does not depend on any working precision, so the package keeps one
 table, the module-level ``TABLE``: every function here reads it, and every
 ``GoldenCtx`` hands it out as ``ctx.fibs``.
+
+A Zeckendorf representation is one Python-int bit mask (``ZeckRep``), so
+building and reading it costs integer operations, not an object per bit,
+and n has no size limit.
 """
 
 from __future__ import annotations
