@@ -180,8 +180,8 @@ def test_fib_closed_form_high_precision():
         assert abs(float(approx) - fc.fib(n)) < 1e-6
 
 
-# 4321 = F_19 + F_11 + F_9 + F_7 + F_4 + F_2; each mutant breaks one property
-# of the rep that verify's fibcore checks read for 4321 alone.
+# 4321 = F_19 + F_11 + F_9 + F_7 + F_4 + F_2.  Each mutant hands 4321 alone a
+# rep that is wrong in one way, which verify's fibcore checks must name.
 MASK_4321 = 0b1000000010101001010
 MUTANTS = {
     "value": lambda mask: mask ^ 0b10,  # drops F_2: 4320
